@@ -1,14 +1,14 @@
 // Experiment E11: parallel fan-out/merge top-k over a ShardedCorpus.
 //
 // Partitions the shared benchmark dataset into 1/2/4/8 spatial-grid shards
-// and runs the same randomized top-k workload through ShardedTopKEngine at
+// and runs the same randomized top-k workload through the sharded top-k at
 // each shard count. Every sharded result is cross-checked for exact
 // equality against the unsharded SetRTopKEngine — the fan-out merge must be
 // bit-identical, so a fast-but-wrong configuration fails the run (non-zero
 // exit) rather than entering the perf trajectory.
 //
 // Two timings per configuration:
-//   * wall      — ShardedTopKEngine::Query on this host as-is (home-shard
+//   * wall      — ShardedWhyNotOracle::TopK on this host as-is (home-shard
 //                 search + thresholded fan-out; parallel when the host has
 //                 cores for it, sequential with threshold refinement when
 //                 it does not).
@@ -42,6 +42,7 @@
 #include "bench/bench_util.h"
 #include "src/common/timer.h"
 #include "src/corpus/sharded_corpus.h"
+#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/server/json.h"
 
 namespace yask {
@@ -126,14 +127,14 @@ int main(int argc, char** argv) {
     const ShardedCorpus sharded = ShardedCorpus::Partition(
         store, GridShardRouter::Fit(store, static_cast<uint32_t>(shards)),
         shard_options);
-    const ShardedTopKEngine engine(sharded);
+    const ShardedWhyNotOracle engine(sharded);
 
     ShardRun run;
     run.shards = shards;
     // Warm-up pass doubling as the correctness gate: every query must
     // reproduce the unsharded result bit-for-bit (ids and scores).
     for (size_t i = 0; i < workload.size(); ++i) {
-      if (engine.Query(workload[i]) != expected[i]) {
+      if (engine.TopK(workload[i]) != expected[i]) {
         run.results_match = false;
       }
     }
@@ -143,7 +144,7 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < kReps; ++rep) {
       Timer timer;
       for (const Query& q : workload) {
-        engine.Query(q);
+        engine.TopK(q);
       }
       run.wall_ms = std::min(run.wall_ms, timer.ElapsedMillis());
     }

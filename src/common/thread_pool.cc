@@ -1,7 +1,10 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
+#include <latch>
 #include <utility>
+
+#include "src/common/trace.h"
 
 namespace yask {
 
@@ -44,6 +47,23 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
+}
+
+void FanOut(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
+  if (pool == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  const TraceContext trace_ctx = CurrentTraceContext();
+  std::latch latch(static_cast<ptrdiff_t>(n));
+  for (size_t i = 0; i < n; ++i) {
+    pool->Submit([&fn, &latch, trace_ctx, i] {
+      TraceContextScope scope(trace_ctx);
+      fn(i);
+      latch.count_down();
+    });
+  }
+  latch.wait();
 }
 
 }  // namespace yask

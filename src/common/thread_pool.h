@@ -5,7 +5,8 @@
 // every query; spawning threads per query would cost more than the searches
 // themselves, so the pool keeps its workers alive for the lifetime of the
 // engine. Submit() is thread-safe — the HTTP workers of YaskService call
-// into the same pool concurrently; callers join a fan-out with std::latch.
+// into the same pool concurrently. FanOut() is the one scatter/join every
+// shard fan-out in the tree goes through.
 
 #ifndef YASK_COMMON_THREAD_POOL_H_
 #define YASK_COMMON_THREAD_POOL_H_
@@ -47,6 +48,13 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Runs fn(0) .. fn(n - 1) and returns when all have finished: on `pool`
+/// when it is non-null and n > 1, inline on the calling thread otherwise.
+/// Tasks inherit the caller's trace context, so the spans they record hang
+/// under whatever span is open at the call site. Tasks must be leaves (never
+/// wait on the same pool themselves), so a blocked caller cannot deadlock it.
+void FanOut(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace yask
 

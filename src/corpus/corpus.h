@@ -40,8 +40,8 @@ struct CorpusOptions {
   bool build_inverted_index = false;
   RTreeOptions rtree;
   /// Worker threads of the fan-out pool a ShardedCorpus built with these
-  /// options owns (ShardedTopKEngine and ShardedWhyNotOracle share that one
-  /// pool; it is created lazily on first use). 0 = auto: one thread per
+  /// options owns (every ShardedWhyNotOracle over it shares that one pool;
+  /// it is created lazily on first use). 0 = auto: one thread per
   /// shard capped by the hardware concurrency, and no pool at all on a
   /// single-core host or a single-shard corpus (fan-outs then run inline,
   /// which is strictly better there). Forced values are clamped to the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <latch>
 #include <optional>
 #include <thread>
 
@@ -632,27 +631,6 @@ std::vector<uint32_t> RemoteCorpus::shards_without_kcr() const {
   return missing;
 }
 
-void RemoteCorpus::ForEachShard(const std::function<void(size_t)>& fn) const {
-  const size_t n = shards_.size();
-  if (pool_ == nullptr || n <= 1) {
-    for (size_t s = 0; s < n; ++s) fn(s);
-    return;
-  }
-  // Pool workers inherit the submitter's trace context: the rpc spans a
-  // fan-out records land in the request's recorder, parented under whatever
-  // span was open at the fan-out site.
-  const TraceContext trace_ctx = CurrentTraceContext();
-  std::latch latch(static_cast<ptrdiff_t>(n));
-  for (size_t s = 0; s < n; ++s) {
-    pool_->Submit([&fn, &latch, trace_ctx, s] {
-      TraceContextScope scope(trace_ctx);
-      fn(s);
-      latch.count_down();
-    });
-  }
-  latch.wait();
-}
-
 Status RemoteCorpus::last_error() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->last;
@@ -740,7 +718,7 @@ ObjectId RemoteCorpus::FindByName(const std::string& name) const {
   BufWriter req;
   req.PutString(name);
   std::vector<ObjectId> found(shards_.size(), kInvalidObject);
-  ForEachShard([&](size_t s) {
+  FanOut(pool_.get(), shards_.size(), [&](size_t s) {
     Result<std::string> raw =
         shards_[s]->Call("POST", shardrpc::kFindPath, req.data());
     if (!raw.ok()) {
@@ -760,130 +738,6 @@ ObjectId RemoteCorpus::FindByName(const std::string& name) const {
     }
   }
   return best;
-}
-
-// --- RemoteTopKClient --------------------------------------------------------
-
-namespace {
-
-/// One /shard/topk call. Returns false (and records the error) on failure.
-bool ShardTopK(const RemoteCorpus& corpus, size_t s, const Query& query,
-               double prune_below, TopKResult* rows, TopKStats* stats) {
-  BufWriter req;
-  shardrpc::PutQuery(&req, query);
-  req.PutF64(prune_below);
-  Result<std::string> raw =
-      corpus.replicas(s).Call("POST", shardrpc::kTopKPath, req.data());
-  if (!raw.ok()) {
-    corpus.RecordError(raw.status());
-    return false;
-  }
-  BufReader in(raw->data(), raw->size());
-  *rows = shardrpc::GetScoredRows(&in);
-  stats->nodes_popped += in.GetU64();
-  stats->objects_scored += in.GetU64();
-  if (!in.ok()) {
-    corpus.RecordError(
-        Status::InvalidArgument("bad /shard/topk response"));
-    rows->clear();
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-TopKResult RemoteTopKClient::Query(const ::yask::Query& query,
-                                   TopKStats* stats) const {
-  if (query.k == 0) return {};  // Same guard as the in-process engines.
-  const size_t n = corpus_->num_shards();
-  std::vector<TopKResult> parts(n);
-  std::vector<TopKStats> part_stats(n);
-
-  // Phase 1: the home shard — nearest SetR root MBR, the same choice the
-  // in-process ShardedTopKEngine makes from the trees themselves (the MBRs
-  // travelled in the shard metas).
-  size_t home = 0;
-  double best_distance = std::numeric_limits<double>::infinity();
-  for (size_t s = 0; s < n; ++s) {
-    const shardrpc::ShardMeta& meta = corpus_->meta(s);
-    if (meta.setr_empty) continue;
-    const double d = meta.setr_root_mbr.MinDistance(query.loc);
-    if (d < best_distance) {
-      best_distance = d;
-      home = s;
-    }
-  }
-  ShardTopK(*corpus_, home, query,
-            -std::numeric_limits<double>::infinity(), &parts[home],
-            &part_stats[home]);
-
-  // Identical merge discipline to ShardedTopKEngine (rows already carry
-  // global ids): sort under the ScoredObject order, truncate to k.
-  TopKResult merged;
-  auto merge_part = [&](size_t s) {
-    merged.insert(merged.end(), parts[s].begin(), parts[s].end());
-    std::sort(merged.begin(), merged.end());
-    if (merged.size() > query.k) merged.resize(query.k);
-  };
-  merge_part(home);
-
-  auto threshold = [&] {
-    return merged.size() == query.k
-               ? merged.back().score
-               : -std::numeric_limits<double>::infinity();
-  };
-
-  // Phase 2: the remaining shards, thresholded — broadcast in parallel on
-  // the pool, or sequentially nearest-first with a re-tightened threshold.
-  if (n > 1 && corpus_->pool() != nullptr) {
-    const double prune_below = threshold();
-    {
-      ScopedSpan fanout_span("topk/fanout",
-                             std::to_string(n - 1) + " shards");
-      // Captured after the span opens, so the per-replica rpc spans the
-      // workers record become its children.
-      const TraceContext trace_ctx = CurrentTraceContext();
-      std::latch latch(static_cast<ptrdiff_t>(n - 1));
-      for (size_t s = 0; s < n; ++s) {
-        if (s == home) continue;
-        corpus_->pool()->Submit([&, trace_ctx, s] {
-          TraceContextScope scope(trace_ctx);
-          ShardTopK(*corpus_, s, query, prune_below, &parts[s],
-                    &part_stats[s]);
-          latch.count_down();
-        });
-      }
-      latch.wait();
-    }
-    ScopedSpan merge_span("topk/merge");
-    for (size_t s = 0; s < n; ++s) {
-      if (s != home) merge_part(s);
-    }
-  } else if (n > 1) {
-    std::vector<std::pair<double, size_t>> order;
-    for (size_t s = 0; s < n; ++s) {
-      if (s == home) continue;
-      const shardrpc::ShardMeta& meta = corpus_->meta(s);
-      const double d = meta.setr_empty
-                           ? std::numeric_limits<double>::infinity()
-                           : meta.setr_root_mbr.MinDistance(query.loc);
-      order.emplace_back(d, s);
-    }
-    std::sort(order.begin(), order.end());
-    for (const auto& [distance, s] : order) {
-      ShardTopK(*corpus_, s, query, threshold(), &parts[s], &part_stats[s]);
-      merge_part(s);
-    }
-  }
-
-  if (stats != nullptr) {
-    for (const TopKStats& ps : part_stats) {
-      stats->nodes_popped += ps.nodes_popped;
-      stats->objects_scored += ps.objects_scored;
-    }
-  }
-  return merged;
 }
 
 }  // namespace yask

@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The YASK reproduction authors.
-// RemoteCorpus + RemoteTopKClient: the coordinator's owned view of a corpus
-// whose shards live in other processes (yask_shard_server) — the remote
-// counterpart of ShardedCorpus.
+// RemoteCorpus: the coordinator's owned view of a corpus whose shards live
+// in other processes (yask_shard_server) — the remote counterpart of
+// ShardedCorpus. RemoteShardOracle (src/corpus/remote_whynot_oracle.h) runs
+// top-k and why-not over it, one RemoteShardLeg per shard.
 //
 // Replica tier: each logical shard is backed by N replicas — yask_shard_server
 // processes booted from the SAME per-shard snapshot file — held behind a
@@ -58,7 +59,6 @@
 #include "src/common/thread_pool.h"
 #include "src/common/vocabulary.h"
 #include "src/query/query.h"
-#include "src/query/topk_engine.h"
 #include "src/server/http_client.h"
 #include "src/server/shard_protocol.h"
 #include "src/storage/object.h"
@@ -336,11 +336,8 @@ class RemoteCorpus {
   ObjectId FindByName(const std::string& name) const;
 
   /// The coordinator fan-out pool (null = fan-outs run inline). Shared by
-  /// RemoteTopKClient and RemoteShardOracle, one pool per corpus.
+  /// every RemoteShardOracle over this corpus.
   ThreadPool* pool() const { return pool_.get(); }
-
-  /// Runs fn(shard_index) for every shard, on the pool when present.
-  void ForEachShard(const std::function<void(size_t)>& fn) const;
 
   // --- Error channel (see file comment). ---
   uint64_t error_epoch() const { return state_->error_epoch.load(); }
@@ -393,24 +390,6 @@ class RemoteCorpus {
     std::unordered_map<ObjectId, std::unique_ptr<SpatialObject>> map;
   };
   std::unique_ptr<ObjectCache> cache_ = std::make_unique<ObjectCache>();
-};
-
-/// Threshold-broadcast fan-out top-k over remote shards — the wire twin of
-/// ShardedTopKEngine, merging bit-identically: home shard (nearest SetR root
-/// MBR) first, its k-th score broadcast as the prune threshold, per-shard
-/// rows re-sorted under the global ScoredObject order.
-class RemoteTopKClient {
- public:
-  explicit RemoteTopKClient(const RemoteCorpus& corpus) : corpus_(&corpus) {}
-
-  /// Exact top-k with global ids. On a wire failure (every replica of a
-  /// shard down) the corpus error epoch bumps and the failed shard
-  /// contributes nothing — callers surface the epoch, never the partial
-  /// result.
-  TopKResult Query(const Query& query, TopKStats* stats = nullptr) const;
-
- private:
-  const RemoteCorpus* corpus_;
 };
 
 }  // namespace yask

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <string>
 
 #include "src/server/shard_protocol.h"
 
@@ -9,19 +11,18 @@ namespace yask {
 
 namespace {
 
-/// Encodes one /shard/count request for the given specs (target scores are
-/// resolved coordinator-side — a spec's target need not live on the shard
-/// being asked).
-std::string EncodeCountRequest(const std::vector<OracleTargetSpec>& specs,
-                               const std::vector<double>& target_scores,
-                               uint8_t method) {
+/// Encodes a batch of (query, target, target score) entries — the body of
+/// /shard/count (one method byte per entry) and /shard/probe/open (none).
+std::string EncodeTargets(const std::vector<OracleTargetSpec>& specs,
+                          const std::vector<double>& target_scores,
+                          const std::optional<CountMethod>& method) {
   BufWriter req;
   req.PutVarU64(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     shardrpc::PutQuery(&req, *specs[i].query);
     req.PutU32(specs[i].target);
     req.PutF64(target_scores[i]);
-    req.PutU8(method);
+    if (method.has_value()) req.PutU8(static_cast<uint8_t>(*method));
   }
   return req.data();
 }
@@ -197,403 +198,243 @@ class ShardSessionChannel {
   Status last_error_ = Status::Unavailable("never opened");
 };
 
-}  // namespace
+// --- Score-plane handle ------------------------------------------------------
 
-std::vector<size_t> RemoteShardOracle::CountFanout(
-    const std::vector<OracleTargetSpec>& specs, uint8_t method) const {
-  std::vector<double> target_scores;
-  target_scores.reserve(specs.size());
-  for (const OracleTargetSpec& spec : specs) {
-    target_scores.push_back(
-        ScorePartsOf(*spec.query, corpus_->dist_norm(), Object(spec.target))
-            .score);
+/// One shard's Eqn. (3) session behind its channel.
+class RemotePlane : public LegPlane {
+ public:
+  RemotePlane(const RemoteCorpus& corpus, size_t shard, const Query& query,
+              bool optimized)
+      : corpus_(&corpus),
+        shard_(shard),
+        channel_(corpus, shard, shardrpc::kPlaneOpenPath,
+                 shardrpc::kPlaneClosePath),
+        // The batch route is v3; an older shard gets per-pair calls.
+        batch_route_(corpus.meta(shard).protocol_version >= 3) {
+    BufWriter req;
+    shardrpc::PutQuery(&req, query);
+    req.PutU8(optimized ? 1 : 0);
+    if (!channel_.Open(req.data())) corpus_->RecordError(channel_.last_error());
   }
-  const std::string body = EncodeCountRequest(specs, target_scores, method);
 
-  const size_t n = corpus_->num_shards();
-  std::vector<std::vector<size_t>> counts(n);
-  corpus_->ForEachShard([&](size_t s) {
-    Result<std::string> raw =
-        corpus_->replicas(s).Call("POST", shardrpc::kCountPath, body);
+  void CountBatch(const std::vector<double>& weights,
+                  const std::vector<PlanePoint>& anchors,
+                  std::vector<size_t>* counts,
+                  size_t* nodes_visited) override {
+    // Open failed on every replica: the epoch is already bumped; asking
+    // again would just burn doomed round-trips.
+    const size_t na = anchors.size();
+    if (!channel_.live() || na == 0) return;
+    if (!batch_route_) {
+      for (size_t wi = 0; wi < weights.size(); ++wi) {
+        for (size_t a = 0; a < na; ++a) {
+          if (!CountPair(weights[wi], anchors[a], &(*counts)[wi * na + a],
+                         nodes_visited)) {
+            return;
+          }
+        }
+      }
+      return;
+    }
+    // Sub-grids of at most kMaxPlanePairs pairs: anchor blocks × weight
+    // blocks. Every count lands in its (weight, anchor) slot, so the merged
+    // grid is the same whatever the split.
+    const size_t a_step = std::min<size_t>(na, shardrpc::kMaxPlanePairs);
+    const size_t w_step =
+        std::max<size_t>(1, shardrpc::kMaxPlanePairs / a_step);
+    for (size_t a0 = 0; a0 < na; a0 += a_step) {
+      const size_t a1 = std::min(na, a0 + a_step);
+      for (size_t w0 = 0; w0 < weights.size(); w0 += w_step) {
+        const size_t w1 = std::min(weights.size(), w0 + w_step);
+        if (!CountGrid(weights, w0, w1, anchors, a0, a1, counts,
+                       nodes_visited)) {
+          return;
+        }
+      }
+    }
+  }
+
+  void Crossings(const PlanePoint& anchor, double wlo, double whi,
+                 std::vector<double>* events, size_t* nodes_visited) override {
+    if (!channel_.live()) return;
+    BufWriter req;
+    req.PutU64(0);  // Session slot, stamped by the channel.
+    shardrpc::PutPlanePoint(&req, anchor);
+    req.PutF64(wlo);
+    req.PutF64(whi);
+    Result<std::string> raw = channel_.Call(shardrpc::kPlaneCrossingsPath,
+                                            req.data(), /*mutates=*/false);
     if (!raw.ok()) {
       corpus_->RecordError(raw.status());
       return;
     }
     BufReader in(raw->data(), raw->size());
     const uint64_t count = in.GetVarU64();
-    if (count != specs.size()) {
+    if (!in.CheckCount(count, sizeof(double))) {
       corpus_->RecordError(
-          Status::InvalidArgument("bad /shard/count response"));
+          Status::InvalidArgument("bad /shard/plane/crossings response"));
       return;
     }
-    counts[s].reserve(count);
-    for (uint64_t i = 0; i < count; ++i) counts[s].push_back(in.GetU64());
+    std::vector<double> found;
+    found.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) found.push_back(in.GetF64());
+    const uint64_t nodes = in.GetU64();
     if (!in.ok()) {
       corpus_->RecordError(in.status());
-      counts[s].clear();
+      return;
     }
-  });
-
-  std::vector<size_t> total(specs.size(), 0);
-  for (size_t s = 0; s < n; ++s) {
-    if (counts[s].empty()) continue;  // Failed shard: epoch already bumped.
-    for (size_t i = 0; i < specs.size(); ++i) total[i] += counts[s][i];
+    events->insert(events->end(), found.begin(), found.end());
+    *nodes_visited += nodes;
   }
-  return total;
-}
 
-size_t RemoteShardOracle::Rank(const Query& query, ObjectId global_id) const {
-  const std::vector<OracleTargetSpec> specs{{&query, global_id}};
-  return CountFanout(specs,
-                     static_cast<uint8_t>(shardrpc::CountMethod::kSetR))[0] +
-         1;
-}
+  size_t PreferredSweepBatch() const override {
+    return batch_route_ ? corpus_->replicas(shard_).adaptive_sweep_batch() : 1;
+  }
 
-size_t RemoteShardOracle::OutscoringCount(const Query& query,
-                                          ObjectId global_id,
-                                          KeywordAdaptStats* stats) const {
-  const std::vector<OracleTargetSpec> specs{{&query, global_id}};
-  return OutscoringCountBatch(specs, stats)[0];
-}
-
-std::vector<size_t> RemoteShardOracle::OutscoringCountBatch(
-    const std::vector<OracleTargetSpec>& specs,
-    KeywordAdaptStats* stats) const {
-  stats->objects_scored += corpus_->size() * specs.size();
-  return CountFanout(specs,
-                     static_cast<uint8_t>(shardrpc::CountMethod::kScan));
-}
-
-// --- Score-plane sessions ----------------------------------------------------
-
-namespace {
-
-class RemoteScorePlaneSession : public ScorePlaneSession {
- public:
-  RemoteScorePlaneSession(const RemoteCorpus* corpus,
-                          const WhyNotOracle* oracle, const Query* query,
-                          PrefAdjustMode mode)
-      : corpus_(corpus),
-        oracle_(oracle),
-        query_(query),
-        optimized_(mode == PrefAdjustMode::kOptimized) {
-    // The batch route is v3; with any older shard in the fleet the session
-    // falls back to the per-pair route (the base-class CountAboveBatch loop)
-    // and advertises segment size 1 so the sweep doesn't speculate for
-    // nothing.
-    batch_route_ = true;
-    for (size_t s = 0; s < corpus->num_shards(); ++s) {
-      batch_route_ = batch_route_ && corpus->meta(s).protocol_version >= 3;
-    }
+ private:
+  /// One /shard/plane/count_batch over weights[w0, w1) × anchors[a0, a1).
+  bool CountGrid(const std::vector<double>& weights, size_t w0, size_t w1,
+                 const std::vector<PlanePoint>& anchors, size_t a0, size_t a1,
+                 std::vector<size_t>* counts, size_t* nodes_visited) {
     BufWriter req;
-    shardrpc::PutQuery(&req, *query);
-    req.PutU8(optimized_ ? 1 : 0);
-    const std::string body = req.data();
-    const size_t n = corpus->num_shards();
-    channels_.reserve(n);
-    for (size_t s = 0; s < n; ++s) {
-      channels_.push_back(std::make_unique<ShardSessionChannel>(
-          *corpus, s, shardrpc::kPlaneOpenPath, shardrpc::kPlaneClosePath));
+    req.PutU64(0);  // Session slot, stamped by the channel.
+    req.PutVarU64(w1 - w0);
+    for (size_t wi = w0; wi < w1; ++wi) req.PutF64(weights[wi]);
+    req.PutVarU64(a1 - a0);
+    for (size_t a = a0; a < a1; ++a) shardrpc::PutPlanePoint(&req, anchors[a]);
+    Result<std::string> raw = channel_.Call(shardrpc::kPlaneCountBatchPath,
+                                            req.data(), /*mutates=*/false);
+    if (!raw.ok()) {
+      corpus_->RecordError(raw.status());
+      return false;
     }
-    corpus_->ForEachShard([&](size_t s) {
-      if (!channels_[s]->Open(body)) {
-        corpus_->RecordError(channels_[s]->last_error());
-      }
-    });
+    const size_t width = a1 - a0;
+    const size_t pairs = (w1 - w0) * width;
+    BufReader in(raw->data(), raw->size());
+    if (in.GetVarU64() != pairs) {
+      corpus_->RecordError(
+          Status::InvalidArgument("bad /shard/plane/count_batch response"));
+      return false;
+    }
+    std::vector<size_t> got(pairs);
+    for (size_t& c : got) c = in.GetU64();
+    const uint64_t nodes = in.GetU64();
+    if (!in.ok()) {
+      corpus_->RecordError(in.status());
+      return false;
+    }
+    for (size_t i = 0; i < pairs; ++i) {
+      (*counts)[(w0 + i / width) * anchors.size() + a0 + i % width] = got[i];
+    }
+    *nodes_visited += nodes;
+    return true;
   }
 
-  PlanePoint Anchor(ObjectId global_id) const override {
-    const ObjectScoreParts parts = ScorePartsOf(*query_, corpus_->dist_norm(),
-                                                oracle_->Object(global_id));
-    return PlanePoint{1.0 - parts.sdist, parts.tsim, global_id};
-  }
-
-  size_t CountAbove(double w, const PlanePoint& anchor,
-                    PreferenceAdjustStats* stats) const override {
+  /// One /shard/plane/count (shardrpc v2 shards).
+  bool CountPair(double w, const PlanePoint& anchor, size_t* count,
+                 size_t* nodes_visited) {
     BufWriter req;
     req.PutU64(0);  // Session slot, stamped by the channel.
     req.PutF64(w);
     shardrpc::PutPlanePoint(&req, anchor);
-    const std::string body = req.data();
-    const size_t n = channels_.size();
-    std::vector<size_t> counts(n, 0);
-    std::vector<size_t> nodes(n, 0);
-    corpus_->ForEachShard([&](size_t s) {
-      // Open failed on every replica: the epoch is already bumped; re-asking
-      // would just burn one doomed round-trip per sweep event.
-      if (!channels_[s]->live()) return;
-      Result<std::string> raw =
-          channels_[s]->Call(shardrpc::kPlaneCountPath, body,
-                             /*mutates=*/false);
-      if (!raw.ok()) {
-        corpus_->RecordError(raw.status());
-        return;
-      }
-      BufReader in(raw->data(), raw->size());
-      counts[s] = in.GetU64();
-      nodes[s] = in.GetU64();
-      if (!in.ok()) corpus_->RecordError(in.status());
-    });
-    size_t total = 0;
-    for (size_t s = 0; s < n; ++s) {
-      total += counts[s];
-      stats->index_nodes_visited += nodes[s];
+    Result<std::string> raw = channel_.Call(shardrpc::kPlaneCountPath,
+                                            req.data(), /*mutates=*/false);
+    if (!raw.ok()) {
+      corpus_->RecordError(raw.status());
+      return false;
     }
-    if (!optimized_) ++stats->full_rescans;  // One logical dataset rescan.
-    return total;
-  }
-
-  std::vector<size_t> CountAboveBatch(
-      const std::vector<double>& weights,
-      const std::vector<PlanePoint>& anchors,
-      PreferenceAdjustStats* stats) const override {
-    if (!batch_route_) {
-      // Pre-v3 shard in the fleet: per-pair /shard/plane/count calls (the
-      // base-class loop over CountAbove) — identical counts, more trips.
-      return ScorePlaneSession::CountAboveBatch(weights, anchors, stats);
+    BufReader in(raw->data(), raw->size());
+    const uint64_t got = in.GetU64();
+    const uint64_t nodes = in.GetU64();
+    if (!in.ok()) {
+      corpus_->RecordError(in.status());
+      return false;
     }
-    BufWriter req;
-    req.PutU64(0);  // Session slot, stamped by the channel.
-    req.PutVarU64(weights.size());
-    for (const double w : weights) req.PutF64(w);
-    req.PutVarU64(anchors.size());
-    for (const PlanePoint& anchor : anchors) {
-      shardrpc::PutPlanePoint(&req, anchor);
-    }
-    const std::string body = req.data();
-    const size_t pairs = weights.size() * anchors.size();
-    const size_t n = channels_.size();
-    std::vector<std::vector<size_t>> counts(n);
-    std::vector<size_t> nodes(n, 0);
-    corpus_->ForEachShard([&](size_t s) {
-      if (!channels_[s]->live()) return;  // Open failed; epoch already bumped.
-      Result<std::string> raw =
-          channels_[s]->Call(shardrpc::kPlaneCountBatchPath, body,
-                             /*mutates=*/false);
-      if (!raw.ok()) {
-        corpus_->RecordError(raw.status());
-        return;
-      }
-      BufReader in(raw->data(), raw->size());
-      const uint64_t count = in.GetVarU64();
-      if (count != pairs) {
-        corpus_->RecordError(
-            Status::InvalidArgument("bad /shard/plane/count_batch response"));
-        return;
-      }
-      counts[s].reserve(pairs);
-      for (uint64_t i = 0; i < pairs; ++i) counts[s].push_back(in.GetU64());
-      nodes[s] = in.GetU64();
-      if (!in.ok()) {
-        corpus_->RecordError(in.status());
-        counts[s].clear();
-      }
-    });
-    std::vector<size_t> total(pairs, 0);
-    for (size_t s = 0; s < n; ++s) {
-      if (counts[s].empty()) continue;  // Failed shard: epoch already bumped.
-      for (size_t i = 0; i < pairs; ++i) total[i] += counts[s][i];
-      stats->index_nodes_visited += nodes[s];
-    }
-    if (!optimized_) stats->full_rescans += pairs;
-    return total;
-  }
-
-  size_t PreferredSweepBatch() const override {
-    if (!batch_route_) return 1;  // No batch route: speculation buys nothing.
-    // The fleet's slowest shard gates every fan-out, so IT sets how much a
-    // saved round-trip is worth.
-    size_t batch = 1;
-    for (size_t s = 0; s < corpus_->num_shards(); ++s) {
-      batch = std::max(batch, corpus_->replicas(s).adaptive_sweep_batch());
-    }
-    return batch;
-  }
-
-  void CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
-                        std::vector<double>* events,
-                        PreferenceAdjustStats* stats) const override {
-    BufWriter req;
-    req.PutU64(0);  // Session slot, stamped by the channel.
-    shardrpc::PutPlanePoint(&req, anchor);
-    req.PutF64(wlo);
-    req.PutF64(whi);
-    const std::string body = req.data();
-    const size_t n = channels_.size();
-    std::vector<std::vector<double>> parts(n);
-    std::vector<size_t> nodes(n, 0);
-    corpus_->ForEachShard([&](size_t s) {
-      if (!channels_[s]->live()) return;  // Open failed; epoch already bumped.
-      Result<std::string> raw =
-          channels_[s]->Call(shardrpc::kPlaneCrossingsPath, body,
-                             /*mutates=*/false);
-      if (!raw.ok()) {
-        corpus_->RecordError(raw.status());
-        return;
-      }
-      BufReader in(raw->data(), raw->size());
-      const uint64_t count = in.GetVarU64();
-      if (!in.CheckCount(count, sizeof(double))) {
-        corpus_->RecordError(
-            Status::InvalidArgument("bad /shard/plane/crossings response"));
-        return;
-      }
-      parts[s].reserve(count);
-      for (uint64_t i = 0; i < count; ++i) parts[s].push_back(in.GetF64());
-      nodes[s] = in.GetU64();
-      if (!in.ok()) corpus_->RecordError(in.status());
-    });
-    // Union in shard order; the caller sorts + deduplicates the merged set.
-    for (size_t s = 0; s < n; ++s) {
-      events->insert(events->end(), parts[s].begin(), parts[s].end());
-      stats->index_nodes_visited += nodes[s];
-    }
-  }
-
- private:
-  const RemoteCorpus* corpus_;
-  const WhyNotOracle* oracle_;
-  const Query* query_;
-  bool optimized_;
-  bool batch_route_ = true;  // Every shard speaks shardrpc v3+.
-  // mutable: channels fail over (re-open + re-pin) inside const sweeps.
-  mutable std::vector<std::unique_ptr<ShardSessionChannel>> channels_;
-};
-
-// --- Rank-probe batches ------------------------------------------------------
-
-class RemoteRankProbeBatch : public RankProbeBatch {
- public:
-  RemoteRankProbeBatch(const RemoteCorpus* corpus, const WhyNotOracle* oracle,
-                       const std::vector<OracleTargetSpec>& specs,
-                       KeywordAdaptStats* stats)
-      : corpus_(corpus), stats_(stats), members_(specs.size()) {
-    // Target scores resolve coordinator-side, then ONE open per shard
-    // creates every member's refiner there.
-    BufWriter req;
-    req.PutVarU64(specs.size());
-    for (const OracleTargetSpec& spec : specs) {
-      const double target_score =
-          ScorePartsOf(*spec.query, corpus_->dist_norm(),
-                       oracle->Object(spec.target))
-              .score;
-      shardrpc::PutQuery(&req, *spec.query);
-      req.PutU32(spec.target);
-      req.PutF64(target_score);
-    }
-    const std::string body = req.data();
-
-    const size_t n = corpus_->num_shards();
-    shards_.resize(n);
-    channels_.reserve(n);
-    for (size_t s = 0; s < n; ++s) {
-      shards_[s].members.resize(specs.size());
-      channels_.push_back(std::make_unique<ShardSessionChannel>(
-          *corpus, s, shardrpc::kProbeOpenPath, shardrpc::kProbeClosePath));
-    }
-    corpus_->ForEachShard([&](size_t s) {
-      if (!channels_[s]->Open(body)) {
-        corpus_->RecordError(channels_[s]->last_error());
-        return;
-      }
-      const std::string& resp = channels_[s]->open_response();
-      BufReader in(resp.data(), resp.size());
-      in.GetU64();  // Session id — the channel's concern.
-      for (MemberBounds& member : shards_[s].members) {
-        member.lower = in.GetU64();
-        member.upper = in.GetU64();
-        member.resolved = in.GetU8() != 0;
-      }
-      if (!in.ok()) {
-        corpus_->RecordError(in.status());
-        // Back to the pinned-zero defaults: a half-parsed member with
-        // resolved=false would make the refinement loop spin forever on a
-        // shard that can no longer answer (the request 503s via the epoch).
-        channels_[s]->Close();
-        shards_[s].members.assign(shards_[s].members.size(), MemberBounds{});
-      }
-    });
-  }
-
-  size_t size() const override { return members_; }
-
-  size_t lower(size_t i) const override {
-    size_t sum = 0;
-    for (const ShardState& shard : shards_) sum += shard.members[i].lower;
-    return sum + 1;
-  }
-  size_t upper(size_t i) const override {
-    size_t sum = 0;
-    for (const ShardState& shard : shards_) sum += shard.members[i].upper;
-    return sum + 1;
-  }
-  bool resolved(size_t i) const override {
-    for (const ShardState& shard : shards_) {
-      if (!shard.members[i].resolved) return false;
-    }
+    *count = got;
+    *nodes_visited += nodes;
     return true;
   }
 
-  void RefineLevel(const std::vector<size_t>& members) override {
-    const size_t n = shards_.size();
-    std::vector<uint64_t> kcr_deltas(n, 0);
-    std::vector<uint64_t> scored_deltas(n, 0);
-    corpus_->ForEachShard([&](size_t s) {
-      ShardState& shard = shards_[s];
-      if (!channels_[s]->live()) return;  // Open failed; epoch already bumped.
-      // Only the members with an open frontier on THIS shard are sent.
-      std::vector<size_t> wanted;
-      for (size_t m : members) {
-        if (!shard.members[m].resolved) wanted.push_back(m);
-      }
-      if (wanted.empty()) return;
-      BufWriter req;
-      req.PutU64(0);  // Session slot, stamped by the channel.
-      req.PutVarU64(wanted.size());
-      for (size_t m : wanted) req.PutVarU32(static_cast<uint32_t>(m));
-      // mutates=true: a refine advances the server-side frontiers, so it
-      // joins the channel's replay log — a later failover re-runs the whole
-      // history on the fresh replica before anything new is asked of it.
-      Result<std::string> raw =
-          channels_[s]->Call(shardrpc::kProbeRefinePath, req.data(),
-                             /*mutates=*/true);
-      // Any failure (every replica down) pins the asked members on this
-      // shard: bounds stop narrowing but resolved() becomes true, so the
-      // caller's refinement loop TERMINATES and the request surfaces the
-      // bumped epoch as a 503 — instead of re-issuing a doomed RPC (or
-      // spinning) forever.
-      auto pin_wanted = [&] {
-        for (size_t m : wanted) shard.members[m].resolved = true;
-      };
-      if (!raw.ok()) {
-        corpus_->RecordError(raw.status());
-        pin_wanted();
-        return;
-      }
-      BufReader in(raw->data(), raw->size());
-      const uint64_t count = in.GetVarU64();
-      if (count != wanted.size()) {
-        corpus_->RecordError(
-            Status::InvalidArgument("bad /shard/probe/refine response"));
-        pin_wanted();
-        return;
-      }
-      for (size_t m : wanted) {
-        shard.members[m].lower = in.GetU64();
-        shard.members[m].upper = in.GetU64();
-        shard.members[m].resolved = in.GetU8() != 0;
-      }
-      kcr_deltas[s] = in.GetU64();
-      scored_deltas[s] = in.GetU64();
-      if (!in.ok()) {
-        corpus_->RecordError(in.status());
-        pin_wanted();
-      }
-    });
-    for (size_t s = 0; s < n; ++s) {
-      stats_->kcr_nodes_expanded += kcr_deltas[s];
-      stats_->objects_scored += scored_deltas[s];
+  const RemoteCorpus* corpus_;
+  size_t shard_;
+  ShardSessionChannel channel_;
+  bool batch_route_;
+};
+
+// --- Rank-probe handle -------------------------------------------------------
+
+/// One shard's Eqn. (4) probe session behind its channel. A failed shard
+/// contributes pinned zeros: bounds stop narrowing but resolved() becomes
+/// true, so the caller's refinement loop TERMINATES and the request surfaces
+/// the bumped epoch as a 503 — instead of re-issuing a doomed RPC (or
+/// spinning) forever.
+class RemoteProbes : public LegProbes {
+ public:
+  RemoteProbes(const RemoteCorpus& corpus, size_t shard,
+               const std::vector<OracleTargetSpec>& specs,
+               const std::vector<double>& target_scores)
+      : corpus_(&corpus),
+        channel_(corpus, shard, shardrpc::kProbeOpenPath,
+                 shardrpc::kProbeClosePath),
+        members_(specs.size()) {
+    if (!channel_.Open(EncodeTargets(specs, target_scores, std::nullopt))) {
+      corpus_->RecordError(channel_.last_error());
+      return;
     }
+    const std::string& resp = channel_.open_response();
+    BufReader in(resp.data(), resp.size());
+    in.GetU64();  // Session id — the channel's concern.
+    for (MemberBounds& member : members_) ReadBounds(&in, &member);
+    if (!in.ok()) {
+      corpus_->RecordError(in.status());
+      // Back to the pinned-zero defaults: a half-parsed member with
+      // resolved=false would keep the refinement loop asking a shard that
+      // can no longer answer.
+      channel_.Close();
+      members_.assign(members_.size(), MemberBounds{});
+    }
+  }
+
+  size_t count_lower(size_t m) const override { return members_[m].lower; }
+  size_t count_upper(size_t m) const override { return members_[m].upper; }
+  bool resolved(size_t m) const override { return members_[m].resolved; }
+
+  void Refine(const std::vector<size_t>& members) override {
+    if (!channel_.live()) return;  // Open failed; epoch already bumped.
+    // Only the members with an open frontier on THIS shard are sent.
+    std::vector<size_t> wanted;
+    for (const size_t m : members) {
+      if (!members_[m].resolved) wanted.push_back(m);
+    }
+    if (wanted.empty()) return;
+    BufWriter req;
+    req.PutU64(0);  // Session slot, stamped by the channel.
+    req.PutVarU64(wanted.size());
+    for (const size_t m : wanted) req.PutVarU32(static_cast<uint32_t>(m));
+    // mutates=true: a refine advances the server-side frontiers, so it
+    // joins the channel's replay log — a later failover re-runs the whole
+    // history on the fresh replica before anything new is asked of it.
+    Result<std::string> raw = channel_.Call(shardrpc::kProbeRefinePath,
+                                            req.data(), /*mutates=*/true);
+    Status error = raw.status();
+    if (raw.ok()) {
+      BufReader in(raw->data(), raw->size());
+      if (in.GetVarU64() == wanted.size()) {
+        for (const size_t m : wanted) ReadBounds(&in, &members_[m]);
+        const uint64_t kcr_nodes = in.GetU64();
+        const uint64_t scored = in.GetU64();
+        if (in.ok()) {
+          work_.kcr_nodes_expanded += kcr_nodes;
+          work_.objects_scored += scored;
+          return;
+        }
+        error = in.status();
+      } else {
+        error = Status::InvalidArgument("bad /shard/probe/refine response");
+      }
+    }
+    corpus_->RecordError(error);
+    for (const size_t m : wanted) members_[m].resolved = true;
   }
 
  private:
@@ -602,37 +443,120 @@ class RemoteRankProbeBatch : public RankProbeBatch {
     uint64_t upper = 0;
     bool resolved = true;  // A failed shard contributes a pinned zero.
   };
-  struct ShardState {
-    std::vector<MemberBounds> members;
-  };
+
+  static void ReadBounds(BufReader* in, MemberBounds* member) {
+    member->lower = in->GetU64();
+    member->upper = in->GetU64();
+    member->resolved = in->GetU8() != 0;
+  }
 
   const RemoteCorpus* corpus_;
-  KeywordAdaptStats* stats_;
-  size_t members_;
-  std::vector<ShardState> shards_;
-  std::vector<std::unique_ptr<ShardSessionChannel>> channels_;
+  ShardSessionChannel channel_;
+  std::vector<MemberBounds> members_;
 };
+
+
+// --- RemoteShardLeg ----------------------------------------------------------
+
+/// One shard of a RemoteCorpus as a ShardLeg. The corpus must outlive it.
+class RemoteShardLeg : public ShardLeg {
+ public:
+  RemoteShardLeg(const RemoteCorpus& corpus, size_t shard)
+      : corpus_(&corpus), shard_(shard) {}
+
+  size_t size() const override { return meta().object_count; }
+  bool has_kcr() const override { return meta().has_kcr; }
+
+  std::optional<Rect> root_mbr() const override {
+    if (meta().setr_empty) return std::nullopt;
+    return meta().setr_root_mbr;
+  }
+
+  TopKResult TopK(const Query& query, double prune_below,
+                  TopKStats* stats) const override {
+    BufWriter req;
+    shardrpc::PutQuery(&req, query);
+    req.PutF64(prune_below);
+    Result<std::string> raw = corpus_->replicas(shard_).Call(
+        "POST", shardrpc::kTopKPath, req.data());
+    if (!raw.ok()) {
+      corpus_->RecordError(raw.status());
+      return {};
+    }
+    BufReader in(raw->data(), raw->size());
+    TopKResult rows = shardrpc::GetScoredRows(&in);
+    const uint64_t nodes = in.GetU64();
+    const uint64_t scored = in.GetU64();
+    if (!in.ok()) {
+      corpus_->RecordError(
+          Status::InvalidArgument("bad /shard/topk response"));
+      return {};
+    }
+    stats->nodes_popped += nodes;
+    stats->objects_scored += scored;
+    return rows;
+  }
+
+  std::vector<size_t> Count(const std::vector<OracleTargetSpec>& specs,
+                            const std::vector<double>& target_scores,
+                            CountMethod method) const override {
+    std::vector<size_t> counts(specs.size(), 0);
+    Result<std::string> raw = corpus_->replicas(shard_).Call(
+        "POST", shardrpc::kCountPath,
+        EncodeTargets(specs, target_scores, method));
+    if (!raw.ok()) {
+      corpus_->RecordError(raw.status());
+      return counts;
+    }
+    BufReader in(raw->data(), raw->size());
+    if (in.GetVarU64() != specs.size()) {
+      corpus_->RecordError(
+          Status::InvalidArgument("bad /shard/count response"));
+      return counts;
+    }
+    std::vector<size_t> got(specs.size());
+    for (size_t& c : got) c = in.GetU64();
+    if (!in.ok()) {
+      corpus_->RecordError(in.status());
+      return counts;
+    }
+    return got;
+  }
+
+  std::unique_ptr<LegPlane> OpenPlane(const Query& query,
+                                      bool optimized) const override {
+    return std::make_unique<RemotePlane>(*corpus_, shard_, query, optimized);
+  }
+
+  std::unique_ptr<LegProbes> OpenProbes(
+      const std::vector<OracleTargetSpec>& specs,
+      const std::vector<double>& target_scores) const override {
+    return std::make_unique<RemoteProbes>(*corpus_, shard_, specs,
+                                          target_scores);
+  }
+
+ private:
+  const shardrpc::ShardMeta& meta() const { return corpus_->meta(shard_); }
+
+  const RemoteCorpus* corpus_;
+  size_t shard_;
+};
+
+std::vector<std::unique_ptr<ShardLeg>> RemoteLegs(const RemoteCorpus& corpus) {
+  std::vector<std::unique_ptr<ShardLeg>> legs;
+  legs.reserve(corpus.num_shards());
+  for (size_t s = 0; s < corpus.num_shards(); ++s) {
+    legs.push_back(std::make_unique<RemoteShardLeg>(corpus, s));
+  }
+  return legs;
+}
 
 }  // namespace
 
-std::unique_ptr<ScorePlaneSession> RemoteShardOracle::PrepareScorePlane(
-    const Query& query, PrefAdjustMode mode) const {
-  return std::make_unique<RemoteScorePlaneSession>(corpus_, this, &query,
-                                                   mode);
-}
-
-std::unique_ptr<RankProbe> RemoteShardOracle::ProbeRank(
-    const Query& candidate, ObjectId global_id,
-    KeywordAdaptStats* stats) const {
-  const std::vector<OracleTargetSpec> specs{{&candidate, global_id}};
-  return std::make_unique<BatchOfOneProbe>(
-      std::make_unique<RemoteRankProbeBatch>(corpus_, this, specs, stats));
-}
-
-std::unique_ptr<RankProbeBatch> RemoteShardOracle::ProbeRankBatch(
-    const std::vector<OracleTargetSpec>& specs,
-    KeywordAdaptStats* stats) const {
-  return std::make_unique<RemoteRankProbeBatch>(corpus_, this, specs, stats);
-}
+RemoteShardOracle::RemoteShardOracle(const RemoteCorpus& corpus)
+    : WhyNotOracle(RemoteLegs(corpus), corpus.pool(), corpus.dist_norm(),
+                   [&corpus](ObjectId id) -> const SpatialObject& {
+                     return corpus.Object(id);
+                   }) {}
 
 }  // namespace yask

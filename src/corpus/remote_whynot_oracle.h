@@ -1,24 +1,30 @@
 // Copyright (c) 2026 The YASK reproduction authors.
-// RemoteShardOracle: the WhyNotOracle seam over the wire — every per-shard
-// primitive becomes one RPC per shard against yask_shard_server processes,
-// merged with exactly the discipline of ShardedWhyNotOracle (counts sum,
-// crossing sets union + sort + dedupe, KcR intervals sum elementwise).
-// Because the shard servers run the same per-shard code
-// (src/whynot/shard_primitives.h) and every double rides the wire as raw
-// bits, a coordinator's /whynot answers are byte-identical to the
+// RemoteShardLeg + RemoteShardOracle: the why-not oracle over the wire.
+// Each logical shard is one RemoteShardLeg — a ShardLeg (src/whynot/
+// shard_leg.h) whose per-shard primitives are RPCs to the shard's
+// ReplicaSet — and RemoteShardOracle is the one WhyNotOracle fan-out over
+// those legs, merging exactly as it does in process (counts sum, crossing
+// sets union + sort + dedupe, KcR intervals sum elementwise). The shard
+// servers answer through a LocalShardLeg and every double rides the wire as
+// raw bits, so a coordinator's /whynot answers are byte-identical to the
 // in-process sharded path.
 //
-// Round-trip shape per why-not question (what the batch APIs buy):
+// Round-trip shape per why-not question (what the batch-only seam buys):
 //   * OutscoringCountBatch: one /shard/count per shard for ALL
 //     (candidate, missing) pairs of a chunk;
 //   * ProbeRankBatch: one /shard/probe/open per shard, then ONE
-//     /shard/probe/refine per shard per refinement level across all live
-//     candidates — instead of one round-trip per probe per level;
+//     /shard/probe/refine per shard with open frontiers per refinement
+//     level across all live candidates;
 //   * the Eqn. (3) weight sweep holds one server-side plane session per
-//     shard and pays one round-trip per sweep event.
+//     shard and pays one /shard/plane/count_batch per sweep segment (the
+//     segment grows with the observed RPC latency), plus one
+//     /shard/plane/crossings per missing object. A grid larger than
+//     shardrpc::kMaxPlanePairs is split into requests under the cap; a shard
+//     speaking shardrpc v2 (no batch route) gets one /shard/plane/count per
+//     pair instead.
 //
-// Failure model: every stateless fan-out rides ReplicaSet::Call, which
-// fails over to a sibling replica mid-call; the plane/probe sessions are
+// Failure model: every stateless call rides ReplicaSet::Call, which fails
+// over to a sibling replica mid-call; the plane/probe sessions are
 // replica-sticky id-keyed server-side state, so their failover re-opens the
 // session on a live replica and REPLAYS the applied refine history before
 // re-issuing the failed call (see ShardSessionChannel in the .cc) — a killed
@@ -30,55 +36,17 @@
 #ifndef YASK_CORPUS_REMOTE_WHYNOT_ORACLE_H_
 #define YASK_CORPUS_REMOTE_WHYNOT_ORACLE_H_
 
-#include <memory>
-#include <vector>
-
 #include "src/corpus/remote_corpus.h"
 #include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 
-/// The corpus must outlive the oracle. ProbeRank/ProbeRankBatch require
-/// every remote shard to carry its KcR-tree (corpus.has_kcr()).
+/// The oracle over one RemoteShardLeg per shard, fanning out on the
+/// corpus's pool. The corpus must outlive the oracle. ProbeRankBatch
+/// requires every remote shard to carry its KcR-tree (corpus.has_kcr()).
 class RemoteShardOracle : public WhyNotOracle {
  public:
-  explicit RemoteShardOracle(const RemoteCorpus& corpus)
-      : corpus_(&corpus), topk_(corpus) {}
-
-  size_t size() const override { return corpus_->size(); }
-  double dist_norm() const override { return corpus_->dist_norm(); }
-  const SpatialObject& Object(ObjectId global_id) const override {
-    return corpus_->Object(global_id);
-  }
-
-  TopKResult TopK(const Query& query, TopKStats* stats) const override {
-    return topk_.Query(query, stats);
-  }
-
-  size_t Rank(const Query& query, ObjectId global_id) const override;
-  size_t OutscoringCount(const Query& query, ObjectId global_id,
-                         KeywordAdaptStats* stats) const override;
-  std::vector<size_t> OutscoringCountBatch(
-      const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const override;
-  std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
-      const Query& query, PrefAdjustMode mode) const override;
-  std::unique_ptr<RankProbe> ProbeRank(const Query& candidate,
-                                       ObjectId global_id,
-                                       KeywordAdaptStats* stats) const override;
-  std::unique_ptr<RankProbeBatch> ProbeRankBatch(
-      const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const override;
-
-  const RemoteCorpus& corpus() const { return *corpus_; }
-
- private:
-  /// Batched /shard/count fan-out shared by Rank / OutscoringCount(Batch).
-  std::vector<size_t> CountFanout(const std::vector<OracleTargetSpec>& specs,
-                                  uint8_t method) const;
-
-  const RemoteCorpus* corpus_;
-  RemoteTopKClient topk_;
+  explicit RemoteShardOracle(const RemoteCorpus& corpus);
 };
 
 }  // namespace yask

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <latch>
 #include <thread>
 
 namespace yask {
@@ -161,114 +160,6 @@ Result<ShardedCorpus> ShardedCorpus::Load(const std::string& prefix,
                      Point{sharded.bounds_.max_x, sharded.bounds_.max_y});
   sharded.fanout_threads_ = options.fanout_threads;
   return sharded;
-}
-
-// --- ShardedTopKEngine -------------------------------------------------------
-
-ShardedTopKEngine::ShardedTopKEngine(const ShardedCorpus& corpus)
-    : corpus_(&corpus), pool_(corpus.pool()) {
-  engines_.reserve(corpus.num_shards());
-  for (size_t s = 0; s < corpus.num_shards(); ++s) {
-    const Corpus& shard = corpus.shard(s);
-    engines_.emplace_back(shard.store(), shard.setr());
-    engines_.back().set_dist_norm(corpus.dist_norm());
-  }
-}
-
-TopKResult ShardedTopKEngine::Query(const ::yask::Query& query,
-                                    TopKStats* stats) const {
-  if (query.k == 0) return {};  // Same guard as the unsharded engine.
-  const size_t n = engines_.size();
-  std::vector<TopKResult> parts(n);
-  std::vector<TopKStats> part_stats(n);
-
-  // Phase 1: search the query's home shard — the shard whose tree MBR is
-  // nearest the query point — to completion. Its k-th score then bounds
-  // what any other shard must beat (the classic distributed-top-k threshold
-  // broadcast): far shards usually terminate at their root, so the fan-out
-  // does roughly one small-tree search worth of work per query instead of N.
-  size_t home = 0;
-  double best_distance = std::numeric_limits<double>::infinity();
-  for (size_t s = 0; s < n; ++s) {
-    const SetRTree& tree = corpus_->shard(s).setr();
-    if (tree.empty()) continue;
-    const double d = tree.node(tree.root()).rect.MinDistance(query.loc);
-    if (d < best_distance) {
-      best_distance = d;
-      home = s;
-    }
-  }
-  parts[home] = engines_[home].Query(query, &part_stats[home]);
-
-  // Merges a shard's local-id rows into `merged` (global ids) and truncates
-  // to the k best. Scores are bit-identical across layouts, so the
-  // ScoredObject sort (score desc, global id asc) reproduces the unsharded
-  // ordering exactly — ties and all; truncation only ever drops rows that k
-  // kept rows already dominate.
-  TopKResult merged;
-  auto merge_part = [&](size_t s) {
-    for (const ScoredObject& so : parts[s]) {
-      merged.push_back(ScoredObject{corpus_->ToGlobal(s, so.id), so.score});
-    }
-    std::sort(merged.begin(), merged.end());
-    if (merged.size() > query.k) merged.resize(query.k);
-  };
-  merge_part(home);
-
-  // Skipping only strictly-worse candidates keeps the fan-out exact: an
-  // object pruned by the threshold scores strictly below the current k-th
-  // result, so the D6 ordering can never place it in the top-k regardless
-  // of ids.
-  auto threshold = [&] {
-    return merged.size() == query.k
-               ? merged.back().score
-               : -std::numeric_limits<double>::infinity();
-  };
-
-  // Phase 2: the remaining shards, thresholded.
-  if (n > 1 && pool_ != nullptr) {
-    // Parallel: every other shard searches concurrently against the home
-    // shard's k-th score.
-    const double prune_below = threshold();
-    std::latch latch(static_cast<ptrdiff_t>(n - 1));
-    for (size_t s = 0; s < n; ++s) {
-      if (s == home) continue;
-      pool_->Submit([this, s, prune_below, &query, &parts, &part_stats,
-                     &latch] {
-        parts[s] = engines_[s].Query(query, prune_below, &part_stats[s]);
-        latch.count_down();
-      });
-    }
-    latch.wait();
-    for (size_t s = 0; s < n; ++s) {
-      if (s != home) merge_part(s);
-    }
-  } else if (n > 1) {
-    // Sequential (single-core host): nearest shards first, re-tightening
-    // the threshold after each merge — later shards see the best bound yet.
-    std::vector<std::pair<double, size_t>> order;
-    for (size_t s = 0; s < n; ++s) {
-      if (s == home) continue;
-      const SetRTree& tree = corpus_->shard(s).setr();
-      const double d = tree.empty()
-                           ? std::numeric_limits<double>::infinity()
-                           : tree.node(tree.root()).rect.MinDistance(query.loc);
-      order.emplace_back(d, s);
-    }
-    std::sort(order.begin(), order.end());
-    for (const auto& [distance, s] : order) {
-      parts[s] = engines_[s].Query(query, threshold(), &part_stats[s]);
-      merge_part(s);
-    }
-  }
-
-  if (stats != nullptr) {
-    for (const TopKStats& ps : part_stats) {
-      stats->nodes_popped += ps.nodes_popped;
-      stats->objects_scored += ps.objects_scored;
-    }
-  }
-  return merged;
 }
 
 }  // namespace yask

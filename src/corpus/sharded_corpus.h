@@ -1,8 +1,8 @@
 // Copyright (c) 2026 The YASK reproduction authors.
-// ShardedCorpus: N Corpus shards partitioned by a ShardRouter, plus the
-// ShardedTopKEngine that fans a query out to every shard in parallel and
-// merges per-shard results into an answer bit-identical to an unsharded
-// corpus's.
+// ShardedCorpus: N Corpus shards partitioned by a ShardRouter. Top-k and
+// why-not run over it through ShardedWhyNotOracle (src/corpus/
+// sharded_whynot_oracle.h), which fans a query out to every shard and merges
+// per-shard results into an answer bit-identical to an unsharded corpus's.
 //
 // Exactness argument (see docs/architecture.md):
 //  * every shard scores with the *global* SDist normaliser (the diagonal of
@@ -99,7 +99,7 @@ class ShardedCorpus {
   static std::string ShardFilePath(const std::string& prefix, uint32_t index);
 
   /// The worker pool every fan-out engine over this corpus shares
-  /// (ShardedTopKEngine for /query, ShardedWhyNotOracle for /whynot), sized
+  /// (every ShardedWhyNotOracle — /query and /whynot alike), sized
   /// by the CorpusOptions::fanout_threads passed to Partition()/Load() and
   /// clamped to the shard count. Created lazily on first call (thread-safe),
   /// so a corpus that is only built and saved — dataset_tool build-shards —
@@ -134,32 +134,6 @@ class ShardedCorpus {
   std::unique_ptr<std::mutex> pool_mu_ = std::make_unique<std::mutex>();
   mutable bool pool_decided_ = false;
   mutable std::unique_ptr<ThreadPool> pool_;  // Null: fan-outs run inline.
-};
-
-/// Parallel fan-out/merge top-k over a ShardedCorpus. Results are
-/// bit-identical to SetRTopKEngine over the same (unsharded) objects.
-///
-/// Thread-safe: concurrent Query() calls share the corpus's worker pool
-/// (also used by the sharded why-not oracle — one pool per corpus, not one
-/// per engine). The home shard is always searched on the calling thread;
-/// without a pool the thresholded fan-out runs inline, nearest shard first.
-class ShardedTopKEngine {
- public:
-  explicit ShardedTopKEngine(const ShardedCorpus& corpus);
-
-  /// Exact top-k with global object ids. Stats are summed across shards.
-  TopKResult Query(const Query& query, TopKStats* stats = nullptr) const;
-
-  const ShardedCorpus& corpus() const { return *corpus_; }
-
-  /// The corpus's shared pool (null = inline fan-out); for the pool-reuse
-  /// assertion tests.
-  const ThreadPool* pool() const { return pool_; }
-
- private:
-  const ShardedCorpus* corpus_;
-  std::vector<SetRTopKEngine> engines_;  // One per shard, global dist norm.
-  ThreadPool* pool_;                     // Borrowed from the corpus.
 };
 
 }  // namespace yask

@@ -2,25 +2,28 @@
 
 namespace yask {
 
-ShardedWhyNotOracle::ShardedWhyNotOracle(const ShardedCorpus& corpus)
-    : corpus_(&corpus), topk_(corpus) {
-  ctx_.views.reserve(corpus.num_shards());
-  ctx_.all_shards.reserve(corpus.num_shards());
+namespace {
+
+std::vector<std::unique_ptr<ShardLeg>> ShardLegs(const ShardedCorpus& corpus) {
+  std::vector<std::unique_ptr<ShardLeg>> legs;
+  legs.reserve(corpus.num_shards());
   for (size_t s = 0; s < corpus.num_shards(); ++s) {
     const Corpus& shard = corpus.shard(s);
-    ctx_.views.push_back(OracleShardView{
-        &shard.store(), &shard.setr(),
-        shard.has_kcr() ? &shard.kcr() : nullptr,
-        &corpus.shard_global_ids(s)});
-    ctx_.all_shards.push_back(s);
+    legs.push_back(std::make_unique<LocalShardLeg>(
+        OracleShardView{&shard.store(), &shard.setr(),
+                        shard.has_kcr() ? &shard.kcr() : nullptr,
+                        &corpus.shard_global_ids(s)},
+        corpus.dist_norm()));
   }
-  ctx_.dist_norm = corpus.dist_norm();
-  ctx_.pool = corpus.pool();
+  return legs;
 }
 
-TopKResult ShardedWhyNotOracle::TopK(const Query& query,
-                                     TopKStats* stats) const {
-  return topk_.Query(query, stats);
-}
+}  // namespace
+
+ShardedWhyNotOracle::ShardedWhyNotOracle(const ShardedCorpus& corpus)
+    : WhyNotOracle(ShardLegs(corpus), corpus.pool(), corpus.dist_norm(),
+                   [&corpus](ObjectId id) -> const SpatialObject& {
+                     return corpus.Object(id);
+                   }) {}
 
 }  // namespace yask

@@ -4,8 +4,8 @@
 // adjustment, keyword adaption — exact on the scale-out layout.
 //
 // Every oracle primitive fans out over the corpus's shared worker pool (the
-// same pool ShardedTopKEngine uses for /query) and merges with the same
-// discipline that made sharded top-k bit-identical:
+// same pool /query uses) and merges with the same discipline that makes
+// sharded top-k bit-identical:
 //   * scores use the GLOBAL SDist normaliser and the shared vocabulary, so
 //     an object's score is the same doubles-arithmetic in both layouts;
 //   * tie orders compare GLOBAL ids everywhere;
@@ -26,22 +26,12 @@
 
 namespace yask {
 
-/// The corpus must outlive the oracle. ProbeRank (keyword adaption)
-/// requires every shard to have been built with its KcR-tree.
-class ShardedWhyNotOracle : public ContextWhyNotOracle {
+/// The oracle over one LocalShardLeg per shard, fanning out on the corpus's
+/// shared pool. The corpus must outlive the oracle. ProbeRankBatch (keyword
+/// adaption) requires every shard to have been built with its KcR-tree.
+class ShardedWhyNotOracle : public WhyNotOracle {
  public:
   explicit ShardedWhyNotOracle(const ShardedCorpus& corpus);
-
-  const SpatialObject& Object(ObjectId global_id) const override {
-    return corpus_->Object(global_id);
-  }
-  TopKResult TopK(const Query& query, TopKStats* stats) const override;
-
-  const ShardedCorpus& corpus() const { return *corpus_; }
-
- private:
-  const ShardedCorpus* corpus_;
-  ShardedTopKEngine topk_;
 };
 
 }  // namespace yask

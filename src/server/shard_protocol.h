@@ -22,7 +22,9 @@
 //   POST /shard/objects    [gid...] -> objects (loc, doc, name) by GLOBAL id
 //   POST /shard/find       name -> first matching GLOBAL id
 //   POST /shard/topk       query + prune_below -> thresholded shard top-k
-//   POST /shard/count      batched tie-aware outscoring counts (scan / SetR)
+//   POST /shard/count      batched tie-aware outscoring counts; each entry
+//                          carries a CountMethod byte (src/whynot/
+//                          shard_leg.h: 0 = scan, 1 = SetR)
 //   POST /shard/plane/open|count|count_batch|crossings|close  Eqn. (3)
 //                                                              sessions
 //   POST /shard/probe/open|refine|close             Eqn. (4) probe batches
@@ -76,6 +78,10 @@ inline constexpr char kPlaneCountPath[] = "/shard/plane/count";
 /// A plane points. Response: varu64 K*A + K*A u64 counts (row-major, weight
 ///-major: index wi*A + a), u64 nodes_visited.
 inline constexpr char kPlaneCountBatchPath[] = "/shard/plane/count_batch";
+/// Most (weight, anchor) pairs one count_batch request may carry. The shard
+/// answers 400 above it instead of allocating the grid; the coordinator
+/// splits a larger grid into requests at or under it.
+inline constexpr uint64_t kMaxPlanePairs = uint64_t{1} << 18;
 inline constexpr char kPlaneCrossingsPath[] = "/shard/plane/crossings";
 inline constexpr char kPlaneClosePath[] = "/shard/plane/close";
 inline constexpr char kProbeOpenPath[] = "/shard/probe/open";
@@ -86,12 +92,6 @@ inline constexpr char kProbeClosePath[] = "/shard/probe/close";
 inline constexpr char kTracePath[] = "/shard/trace";
 /// GET, Prometheus text format (v2, docs/observability.md).
 inline constexpr char kMetricsPath[] = "/metrics";
-
-/// /shard/count entry method selector.
-enum class CountMethod : uint8_t {
-  kScan = 0,  // Full-store scan (keyword model's OutscoringCount).
-  kSetR = 1,  // SetR-tree pruned count (rank-of-object).
-};
 
 /// Everything the coordinator learns about one shard at connect time.
 struct ShardMeta {

@@ -4,14 +4,11 @@
 
 #include "src/common/timer.h"
 #include "src/common/version.h"
-#include "src/query/ranking.h"
 #include "src/server/json.h"
 #include "src/server/shard_protocol.h"
 #include "src/server/trace_json.h"
 
 namespace yask {
-
-using shardrpc::CountMethod;
 
 namespace {
 
@@ -28,30 +25,44 @@ HttpResponse BadBody(const BufReader& in) {
 
 }  // namespace
 
-/// One Eqn. (3) session: this shard's plane points / plane index for one
-/// query. Calls are serialised per session (the coordinator's weight sweep
-/// is sequential anyway; the lock protects against misbehaving clients).
+/// One Eqn. (3) session: the leg's plane for one query. Calls are
+/// serialised per session (the coordinator's weight sweep is sequential
+/// anyway; the lock protects against misbehaving clients).
 struct ShardService::PlaneSession {
   std::mutex mu;
-  std::unique_ptr<ShardPlane> plane;
+  std::unique_ptr<LegPlane> plane;
   uint64_t last_use = 0;  // Guarded by sessions_mu_, not mu.
 };
 
-/// One Eqn. (4) probe batch: per (candidate, missing object) member a
-/// candidate query copy, a scorer bound to it, and this shard's refiner.
-/// Members live behind unique_ptrs — scorers point into the member's query.
+/// One Eqn. (4) probe batch: the leg's probes for every member.
 struct ShardService::ProbeSession {
-  struct Member {
-    Query query;
-    std::optional<Scorer> scorer;
-    std::optional<ShardRankRefiner> refiner;
-  };
-
   std::mutex mu;
-  std::vector<std::unique_ptr<Member>> members;
-  KeywordAdaptStats stats;  // Refiner work counters; deltas reported per call.
-  uint64_t last_use = 0;    // Guarded by sessions_mu_, not mu.
+  std::unique_ptr<LegProbes> probes;
+  size_t size = 0;  // Members.
+  uint64_t last_use = 0;  // Guarded by sessions_mu_, not mu.
 };
+
+namespace {
+
+/// Decodes `count` (query, target, target score[, method]) entries — the
+/// /shard/count and /shard/probe/open bodies. `queries` is reserved up front
+/// so the specs' query pointers stay valid.
+bool DecodeTargets(BufReader* in, uint64_t count, std::vector<Query>* queries,
+                   std::vector<OracleTargetSpec>* specs,
+                   std::vector<double>* target_scores,
+                   std::vector<uint8_t>* methods) {
+  queries->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    queries->push_back(shardrpc::GetQuery(in));
+    specs->push_back(OracleTargetSpec{&queries->back(), in->GetU32()});
+    target_scores->push_back(in->GetF64());
+    if (methods != nullptr) methods->push_back(in->GetU8());
+    if (!in->ok()) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 ShardService::Info ShardService::StandaloneInfo(const Corpus& corpus) {
   Info info;
@@ -84,14 +95,13 @@ ShardService::ShardService(const Corpus& corpus, Info info,
                            ShardServiceOptions options)
     : corpus_(&corpus),
       info_(std::move(info)),
-      topk_(corpus.store(), corpus.setr()),
+      leg_(OracleShardView{&corpus.store(), &corpus.setr(),
+                           corpus.has_kcr() ? &corpus.kcr() : nullptr,
+                           info_.to_global.empty() ? nullptr
+                                                   : &info_.to_global},
+           info_.dist_norm),
       server_(options.port, options.num_workers),
       max_sessions_(options.max_sessions == 0 ? 1 : options.max_sessions) {
-  topk_.set_dist_norm(info_.dist_norm);
-  view_ = OracleShardView{
-      &corpus.store(), &corpus.setr(),
-      corpus.has_kcr() ? &corpus.kcr() : nullptr,
-      info_.to_global.empty() ? nullptr : &info_.to_global};
 
   server_.Route("GET", shardrpc::kHealthPath, Instrumented(
       shardrpc::kHealthPath,
@@ -380,8 +390,7 @@ HttpResponse ShardService::HandleTopK(const HttpRequest& req) {
 
   TopKStats stats;
   TopKResult rows;
-  if (query.k > 0) rows = topk_.Query(query, prune_below, &stats);
-  for (ScoredObject& row : rows) row.id = ToGlobal(row.id);
+  if (query.k > 0) rows = leg_.TopK(query, prune_below, &stats);
 
   BufWriter out;
   shardrpc::PutScoredRows(&out, rows);
@@ -396,27 +405,32 @@ HttpResponse ShardService::HandleCount(const HttpRequest& req) {
   BufReader in(req.body.data(), req.body.size());
   const uint64_t count = in.GetVarU64();
   if (!in.CheckCount(count, 16)) return BadBody(in);
-  BufWriter out;
-  out.PutVarU64(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    const Query query = shardrpc::GetQuery(&in);
-    const ObjectId target = in.GetU32();
-    const double target_score = in.GetF64();
-    const uint8_t method = in.GetU8();
-    if (!in.ok()) return BadBody(in);
-    const Scorer scorer(corpus_->store(), query, info_.dist_norm);
-    uint64_t above = 0;
-    if (method == static_cast<uint8_t>(CountMethod::kScan)) {
-      above = ShardScanOutscoring(view_, scorer, target_score, target);
-    } else if (method == static_cast<uint8_t>(CountMethod::kSetR)) {
-      above = CountOutscoring(corpus_->store(), corpus_->setr(), scorer,
-                              target_score, target, view_.to_global);
-    } else {
+  std::vector<Query> queries;
+  std::vector<OracleTargetSpec> specs;
+  std::vector<double> scores;
+  std::vector<uint8_t> methods;
+  if (!DecodeTargets(&in, count, &queries, &specs, &scores, &methods) ||
+      !in.AtEnd()) {
+    return BadBody(in);
+  }
+  for (const uint8_t method : methods) {
+    if (method > static_cast<uint8_t>(CountMethod::kSetR)) {
       return HttpResponse::Error(400, "unknown count method");
     }
-    out.PutU64(above);
   }
-  if (!in.AtEnd()) return BadBody(in);
+  BufWriter out;
+  out.PutVarU64(count);
+  // Entries may mix methods; each run of one method is one leg call.
+  for (size_t begin = 0; begin < specs.size();) {
+    size_t end = begin + 1;
+    while (end < specs.size() && methods[end] == methods[begin]) ++end;
+    const std::vector<size_t> counts = leg_.Count(
+        {specs.begin() + begin, specs.begin() + end},
+        {scores.begin() + begin, scores.begin() + end},
+        static_cast<CountMethod>(methods[begin]));
+    for (const size_t c : counts) out.PutU64(c);
+    begin = end;
+  }
   return Binary(out);
 }
 
@@ -429,8 +443,7 @@ HttpResponse ShardService::HandlePlaneOpen(const HttpRequest& req) {
   if (!in.ok() || !in.AtEnd()) return BadBody(in);
 
   auto session = std::make_shared<PlaneSession>();
-  session->plane = std::make_unique<ShardPlane>(view_, query, info_.dist_norm,
-                                                optimized);
+  session->plane = leg_.OpenPlane(query, optimized);
   uint64_t id;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -457,16 +470,14 @@ HttpResponse ShardService::HandlePlaneCount(const HttpRequest& req) {
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown plane session");
   }
-  // The same double the in-process session hands every shard.
-  const double threshold = anchor.ScoreAt(w);
+  std::vector<size_t> counts(1, 0);
   size_t nodes = 0;
-  size_t count;
   {
     std::lock_guard<std::mutex> lock(session->mu);
-    count = session->plane->CountAbove(w, threshold, anchor, &nodes);
+    session->plane->CountBatch({w}, {anchor}, &counts, &nodes);
   }
   BufWriter out;
-  out.PutU64(count);
+  out.PutU64(counts[0]);
   out.PutU64(nodes);
   return Binary(out);
 }
@@ -490,18 +501,22 @@ HttpResponse ShardService::HandlePlaneCountBatch(const HttpRequest& req) {
   if (num_weights == 0 || num_anchors == 0) {
     return HttpResponse::Error(400, "empty plane count batch");
   }
+  // The grid is allocated below: bound it before trusting the peer.
+  if (num_weights > shardrpc::kMaxPlanePairs / num_anchors) {
+    return HttpResponse::Error(
+        400, "plane count batch of " + std::to_string(num_weights) + " x " +
+                 std::to_string(num_anchors) + " pairs exceeds the cap of " +
+                 std::to_string(shardrpc::kMaxPlanePairs));
+  }
   const std::shared_ptr<PlaneSession> session = FindPlane(id);
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown plane session");
   }
-  // Thresholds are computed inside CountAboveBatch from the same
-  // anchor.ScoreAt(w) expression HandlePlaneCount evaluates, so each batched
-  // count is the same double-for-double computation as its per-call twin.
   std::vector<size_t> counts(weights.size() * anchors.size(), 0);
   size_t nodes = 0;
   {
     std::lock_guard<std::mutex> lock(session->mu);
-    session->plane->CountAboveBatch(weights, anchors, &counts, &nodes);
+    session->plane->CountBatch(weights, anchors, &counts, &nodes);
   }
   BufWriter out;
   out.PutVarU64(counts.size());
@@ -525,7 +540,7 @@ HttpResponse ShardService::HandlePlaneCrossings(const HttpRequest& req) {
   size_t nodes = 0;
   {
     std::lock_guard<std::mutex> lock(session->mu);
-    session->plane->CollectCrossings(anchor, wlo, whi, &events, &nodes);
+    session->plane->Crossings(anchor, wlo, whi, &events, &nodes);
   }
   BufWriter out;
   out.PutVarU64(events.size());
@@ -551,7 +566,7 @@ HttpResponse ShardService::HandlePlaneClose(const HttpRequest& req) {
 // --- Rank-probe batches (Eqn. (4)) -------------------------------------------
 
 HttpResponse ShardService::HandleProbeOpen(const HttpRequest& req) {
-  if (view_.kcr == nullptr) {
+  if (!leg_.has_kcr()) {
     return HttpResponse::Error(
         501, "shard " + std::to_string(info_.shard_index) +
                  " has no KcR-tree; rank probes (why-not keyword "
@@ -560,23 +575,18 @@ HttpResponse ShardService::HandleProbeOpen(const HttpRequest& req) {
   BufReader in(req.body.data(), req.body.size());
   const uint64_t count = in.GetVarU64();
   if (!in.CheckCount(count, 16)) return BadBody(in);
+  std::vector<Query> queries;
+  std::vector<OracleTargetSpec> specs;
+  std::vector<double> scores;
+  if (!DecodeTargets(&in, count, &queries, &specs, &scores, nullptr) ||
+      !in.AtEnd()) {
+    return BadBody(in);
+  }
 
   auto session = std::make_shared<ProbeSession>();
-  session->members.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    auto member = std::make_unique<ProbeSession::Member>();
-    member->query = shardrpc::GetQuery(&in);
-    const ObjectId target = in.GetU32();
-    const double target_score = in.GetF64();
-    if (!in.ok()) return BadBody(in);
-    member->scorer.emplace(corpus_->store(), member->query, info_.dist_norm);
-    member->refiner.emplace(view_, *member->scorer, target, target_score,
-                            &session->stats);
-    session->members.push_back(std::move(member));
-  }
-  if (!in.AtEnd()) return BadBody(in);
-
-  BufWriter out;
+  session->probes = leg_.OpenProbes(specs, scores);
+  session->size = specs.size();
+  const LegProbes& probes = *session->probes;
   uint64_t id;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -588,11 +598,14 @@ HttpResponse ShardService::HandleProbeOpen(const HttpRequest& req) {
       probe_evictions_->Add();
     }
   }
+  BufWriter out;
   out.PutU64(id);
-  for (const auto& member : session->members) {
-    out.PutU64(member->refiner->count_lower());
-    out.PutU64(member->refiner->count_upper());
-    out.PutU8(member->refiner->resolved() ? 1 : 0);
+  // The session is published: a refine on its id may already be running.
+  std::lock_guard<std::mutex> lock(session->mu);
+  for (size_t m = 0; m < count; ++m) {
+    out.PutU64(probes.count_lower(m));
+    out.PutU64(probes.count_upper(m));
+    out.PutU8(probes.resolved(m) ? 1 : 0);
   }
   return Binary(out);
 }
@@ -602,27 +615,31 @@ HttpResponse ShardService::HandleProbeRefine(const HttpRequest& req) {
   const uint64_t id = in.GetU64();
   const uint64_t count = in.GetVarU64();
   if (!in.CheckCount(count, 1)) return BadBody(in);
+  std::vector<size_t> members;
+  members.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) members.push_back(in.GetVarU32());
+  if (!in.ok() || !in.AtEnd()) return BadBody(in);
   const std::shared_ptr<ProbeSession> session = FindProbe(id);
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown probe session");
   }
 
   std::lock_guard<std::mutex> lock(session->mu);
-  const KeywordAdaptStats before = session->stats;
+  LegProbes& probes = *session->probes;
+  for (const size_t m : members) {
+    if (m >= session->size) return BadBody(in);
+  }
+  const KeywordAdaptStats before = probes.work();
+  probes.Refine(members);
   BufWriter out;
   out.PutVarU64(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint32_t m = in.GetVarU32();
-    if (!in.ok() || m >= session->members.size()) return BadBody(in);
-    ShardRankRefiner& refiner = *session->members[m]->refiner;
-    if (!refiner.resolved()) refiner.RefineLevel();
-    out.PutU64(refiner.count_lower());
-    out.PutU64(refiner.count_upper());
-    out.PutU8(refiner.resolved() ? 1 : 0);
+  for (const size_t m : members) {
+    out.PutU64(probes.count_lower(m));
+    out.PutU64(probes.count_upper(m));
+    out.PutU8(probes.resolved(m) ? 1 : 0);
   }
-  if (!in.AtEnd()) return BadBody(in);
-  out.PutU64(session->stats.kcr_nodes_expanded - before.kcr_nodes_expanded);
-  out.PutU64(session->stats.objects_scored - before.objects_scored);
+  out.PutU64(probes.work().kcr_nodes_expanded - before.kcr_nodes_expanded);
+  out.PutU64(probes.work().objects_scored - before.objects_scored);
   return Binary(out);
 }
 

@@ -5,11 +5,11 @@
 // full /query + /whynot + /forget contract bit-identically to the in-process
 // ShardedCorpus path.
 //
-// The endpoints are exactly the per-shard primitives the in-process fan-outs
-// dispatch to their shard views (src/whynot/shard_primitives.h) — the same
-// code runs behind both transports, and every double crosses the wire as its
-// raw bits (src/server/shard_protocol.h), which is what makes the remote
-// answers byte-identical.
+// Every data endpoint is decode → LocalShardLeg → encode: the server runs
+// the same per-shard leg the in-process oracles hold (src/whynot/
+// shard_primitives.h), sessions included, and every double crosses the wire
+// as its raw bits (src/server/shard_protocol.h) — which is what makes the
+// remote answers byte-identical.
 //
 // Statefulness: the Eqn. (3) score-plane sessions and Eqn. (4) rank-probe
 // batches are per-question server-side state (plane points / refiner
@@ -30,7 +30,6 @@
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/corpus/corpus.h"
-#include "src/query/topk_engine.h"
 #include "src/server/http_server.h"
 #include "src/snapshot/snapshot_codec.h"
 #include "src/whynot/shard_primitives.h"
@@ -130,8 +129,7 @@ class ShardService {
 
   const Corpus* corpus_;
   Info info_;
-  OracleShardView view_;
-  SetRTopKEngine topk_;  // Global dist norm.
+  LocalShardLeg leg_;  // Global dist norm, global ids.
   MetricsRegistry metrics_;
   TraceStore traces_;
   HttpServer server_;

@@ -580,14 +580,7 @@ TopKResult YaskService::RunTopK(const Query& query) const {
   return Engine().TopK(query);
 }
 
-bool YaskService::HasKcr() const {
-  if (corpus_ != nullptr) return corpus_->has_kcr();
-  if (sharded_ == nullptr) return ActiveRemote()->has_kcr();
-  for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-    if (!sharded_->shard(s).has_kcr()) return false;
-  }
-  return true;
-}
+bool YaskService::HasKcr() const { return Engine().oracle().has_kcr(); }
 
 uint64_t YaskService::RemoteEpoch() const {
   const RemoteCorpus* remote = ActiveRemote();

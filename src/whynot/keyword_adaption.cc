@@ -86,12 +86,17 @@ Result<RefinedKeywordQuery> AdaptKeywords(
                               " is not in the database");
     }
   }
+  const bool use_tree = options.mode == KwAdaptMode::kBoundAndPrune;
+  if (use_tree && !oracle.has_kcr()) {
+    return Status::FailedPrecondition(
+        "keyword adaption in bound-and-prune mode needs the KcR-tree on "
+        "every shard; build the corpus with build_kcr_tree");
+  }
 
   RefinedKeywordQuery out;
   out.refined = query;
   KeywordAdaptStats& stats = out.stats;
   const double lambda = options.lambda;
-  const bool use_tree = options.mode == KwAdaptMode::kBoundAndPrune;
 
   // M.doc = union of the missing objects' documents; the normaliser of ∆doc.
   KeywordSet m_doc;
@@ -172,24 +177,24 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   // schedule — which is what lets the batched path regroup the work without
   // changing the answer. ---
 
-  // Per-candidate bound-and-prune (the per-probe legacy path, kept for the
-  // before/after round-trip comparison of bench_remote_shards): one rank
-  // probe per missing object, refining the widest probe one level per
-  // oracle call.
+  // Per-candidate bound-and-prune (the per-probe reference path, kept for
+  // the before/after round-trip comparison of bench_remote_shards): one
+  // batch-of-one rank probe per missing object, refining the widest probe
+  // one level per oracle call.
   auto evaluate_with_probes = [&](const KeywordSet& cand,
                                   const Query& cand_query, size_t e,
                                   double floor) {
-    std::vector<std::unique_ptr<RankProbe>> probes;
+    std::vector<std::unique_ptr<RankProbeBatch>> probes;
     probes.reserve(m_ids.size());
     for (ObjectId id : m_ids) {
-      probes.push_back(oracle.ProbeRank(cand_query, id, &stats));
+      probes.push_back(oracle.ProbeRankBatch({{&cand_query, id}}, &stats));
     }
     while (true) {
       size_t rank_lb = 0;
       size_t rank_ub = 0;
       for (const auto& p : probes) {
-        rank_lb = std::max(rank_lb, p->lower());
-        rank_ub = std::max(rank_ub, p->upper());
+        rank_lb = std::max(rank_lb, p->lower(0));
+        rank_ub = std::max(rank_ub, p->upper(0));
       }
       // Penalty interval from the rank interval. The cut is STRICT: a
       // candidate whose penalty lower bound merely ties the best keeps
@@ -213,10 +218,10 @@ Result<RefinedKeywordQuery> AdaptKeywords(
       }
       // Refine the missing object driving the upper rank the hardest by
       // one tree level.
-      RankProbe* widest = nullptr;
+      RankProbeBatch* widest = nullptr;
       for (const auto& p : probes) {
-        if (p->resolved()) continue;
-        if (widest == nullptr || p->upper() > widest->upper()) {
+        if (p->resolved(0)) continue;
+        if (widest == nullptr || p->upper(0) > widest->upper(0)) {
           widest = p.get();
         }
       }
@@ -229,7 +234,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
       }
       {
         ScopedSpan span("kw/refine_level", "probes=1");
-        widest->RefineLevel();
+        widest->RefineLevel({0});
       }
       ++stats.probe_fanouts;
       ++stats.refine_levels;
@@ -375,7 +380,9 @@ Result<RefinedKeywordQuery> AdaptKeywords(
           size_t rank = 0;
           for (ObjectId id : m_ids) {
             rank = std::max(
-                rank, oracle.OutscoringCount(cand_query, id, &stats) + 1);
+                rank,
+                oracle.OutscoringCountBatch({{&cand_query, id}}, &stats)[0] +
+                    1);
           }
           ++stats.candidates_resolved;
           offer_best(cand, rank, e, penalty_from_rank(e, rank),

@@ -115,19 +115,18 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   anchors.reserve(m_ids.size());
   for (ObjectId id : m_ids) anchors.push_back(session->Anchor(id));
 
-  // Tie-aware rank-minus-one of anchor at weight w, mode-appropriate. Each
-  // call is one oracle fan-out (one round-trip per shard behind a remote
-  // oracle) — the meter sweep_fanouts counts.
-  auto count_above = [&](double w, const PlanePoint& anchor) -> size_t {
-    ++stats.sweep_fanouts;
-    return session->CountAbove(w, anchor, &stats);
-  };
-  // The batched twin: every (weight, anchor) pair of ONE fan-out, counts
-  // indexed [wi * anchors.size() + a]. Bit-identical counts to count_above —
-  // only the trip count differs.
+  // Tie-aware rank-minus-one counts, mode-appropriate: every (weight,
+  // anchor) pair of ONE oracle fan-out (one round-trip per shard behind a
+  // remote oracle) — the meter sweep_fanouts counts. count_above is the
+  // grid of one the per-event reference sweep asks for; each count is the
+  // same partition-sum either way, only the trip count differs.
   auto count_batch = [&](const std::vector<double>& ws) -> std::vector<size_t> {
     ++stats.sweep_fanouts;
     return session->CountAboveBatch(ws, anchors, &stats);
+  };
+  auto count_above = [&](double w, const PlanePoint& anchor) -> size_t {
+    ++stats.sweep_fanouts;
+    return session->CountAboveBatch({w}, {anchor}, &stats)[0];
   };
 
   // --- Step 1: R(M, q) under the original weights. ---

@@ -1,5 +1,7 @@
 #include "src/whynot/shard_primitives.h"
 
+#include <cassert>
+
 #include "src/query/ranking.h"
 #include "src/whynot/preference_adjustment.h"
 
@@ -50,39 +52,36 @@ ShardPlane::ShardPlane(const OracleShardView& view, const Query& query,
   }
 }
 
-size_t ShardPlane::CountAbove(double w, double threshold,
-                              const PlanePoint& anchor,
-                              size_t* nodes_visited) const {
-  if (optimized_) {
-    const size_t count = index_->CountAbove(w, threshold, anchor.id);
-    *nodes_visited += index_->last_nodes_visited();
-    return count;
-  }
-  size_t above = 0;
-  for (const PlanePoint& p : pts_) {
-    if (p.id == anchor.id) continue;
-    if (OutranksTarget(p.ScoreAt(w), p.id, threshold, anchor.id)) ++above;
-  }
-  return above;
-}
-
-void ShardPlane::CountAboveBatch(const std::vector<double>& weights,
-                                 const std::vector<PlanePoint>& anchors,
-                                 std::vector<size_t>* counts,
-                                 size_t* nodes_visited) const {
+void ShardPlane::CountBatch(const std::vector<double>& weights,
+                            const std::vector<PlanePoint>& anchors,
+                            std::vector<size_t>* counts,
+                            size_t* nodes_visited) {
   const size_t na = anchors.size();
   for (size_t wi = 0; wi < weights.size(); ++wi) {
+    const double w = weights[wi];
     for (size_t a = 0; a < na; ++a) {
-      const double threshold = anchors[a].ScoreAt(weights[wi]);
-      (*counts)[wi * na + a] =
-          CountAbove(weights[wi], threshold, anchors[a], nodes_visited);
+      const PlanePoint& anchor = anchors[a];
+      const double threshold = anchor.ScoreAt(w);
+      size_t above = 0;
+      if (optimized_) {
+        above = index_->CountAbove(w, threshold, anchor.id);
+        *nodes_visited += index_->last_nodes_visited();
+      } else {
+        for (const PlanePoint& p : pts_) {
+          if (p.id == anchor.id) continue;
+          if (OutranksTarget(p.ScoreAt(w), p.id, threshold, anchor.id)) {
+            ++above;
+          }
+        }
+      }
+      (*counts)[wi * na + a] = above;
     }
   }
 }
 
-void ShardPlane::CollectCrossings(const PlanePoint& anchor, double wlo,
-                                  double whi, std::vector<double>* events,
-                                  size_t* nodes_visited) const {
+void ShardPlane::Crossings(const PlanePoint& anchor, double wlo, double whi,
+                           std::vector<double>* events,
+                           size_t* nodes_visited) {
   if (optimized_) {
     index_->ForEachCrossing(anchor, wlo, whi, [&](const PlanePoint& p) {
       AppendCrossingWeight(anchor, p, wlo, whi, events);
@@ -153,6 +152,111 @@ void ShardRankRefiner::PushNode(KcRTree::NodeId id, const KcRTree::Node& node) {
   frontier_.push_back(Frontier{id, b});
   sum_lower_ += b.lower;
   sum_upper_ += b.upper;
+}
+
+// --- LocalShardLeg -----------------------------------------------------------
+
+namespace {
+
+/// One shard's rank probes: per member a copy of the candidate query, a
+/// scorer bound to it, and the shard's refiner. Members live behind
+/// unique_ptrs because the scorer points into the member's query.
+class LocalProbes : public LegProbes {
+ public:
+  LocalProbes(const OracleShardView& view, double dist_norm,
+              const std::vector<OracleTargetSpec>& specs,
+              const std::vector<double>& target_scores) {
+    members_.reserve(specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      auto member = std::make_unique<Member>();
+      member->query = *specs[i].query;
+      member->scorer.emplace(*view.store, member->query, dist_norm);
+      member->refiner.emplace(view, *member->scorer, specs[i].target,
+                              target_scores[i], &work_);
+      members_.push_back(std::move(member));
+    }
+  }
+
+  size_t count_lower(size_t m) const override {
+    return members_[m]->refiner->count_lower();
+  }
+  size_t count_upper(size_t m) const override {
+    return members_[m]->refiner->count_upper();
+  }
+  bool resolved(size_t m) const override {
+    return members_[m]->refiner->resolved();
+  }
+  void Refine(const std::vector<size_t>& members) override {
+    for (const size_t m : members) {
+      ShardRankRefiner& refiner = *members_[m]->refiner;
+      if (!refiner.resolved()) refiner.RefineLevel();
+    }
+  }
+
+ private:
+  struct Member {
+    Query query;
+    std::optional<Scorer> scorer;
+    std::optional<ShardRankRefiner> refiner;
+  };
+  std::vector<std::unique_ptr<Member>> members_;
+};
+
+}  // namespace
+
+LocalShardLeg::LocalShardLeg(const OracleShardView& view, double dist_norm)
+    : view_(view), dist_norm_(dist_norm) {
+  if (view_.setr != nullptr) {
+    topk_.emplace(*view_.store, *view_.setr);
+    topk_->set_dist_norm(dist_norm_);
+  }
+}
+
+std::optional<Rect> LocalShardLeg::root_mbr() const {
+  if (view_.setr == nullptr || view_.setr->empty()) return std::nullopt;
+  return view_.setr->node(view_.setr->root()).rect;
+}
+
+TopKResult LocalShardLeg::TopK(const Query& query, double prune_below,
+                               TopKStats* stats) const {
+  assert(topk_.has_value() && "TopK requires the SetR-tree");
+  TopKResult rows = topk_->Query(query, prune_below, stats);
+  if (view_.to_global != nullptr) {
+    for (ScoredObject& row : rows) row.id = (*view_.to_global)[row.id];
+  }
+  return rows;
+}
+
+std::vector<size_t> LocalShardLeg::Count(
+    const std::vector<OracleTargetSpec>& specs,
+    const std::vector<double>& target_scores, CountMethod method) const {
+  std::vector<size_t> counts(specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const Scorer scorer(*view_.store, *specs[i].query, dist_norm_);
+    if (method == CountMethod::kScan) {
+      counts[i] = ShardScanOutscoring(view_, scorer, target_scores[i],
+                                      specs[i].target);
+    } else {
+      assert(view_.setr != nullptr && "SetR counts require the SetR-tree");
+      counts[i] = CountOutscoring(*view_.store, *view_.setr, scorer,
+                                  target_scores[i], specs[i].target,
+                                  view_.to_global);
+    }
+  }
+  return counts;
+}
+
+std::unique_ptr<LegPlane> LocalShardLeg::OpenPlane(const Query& query,
+                                                   bool optimized) const {
+  return std::make_unique<ShardPlane>(view_, query, dist_norm_, optimized);
+}
+
+std::unique_ptr<LegProbes> LocalShardLeg::OpenProbes(
+    const std::vector<OracleTargetSpec>& specs,
+    const std::vector<double>& target_scores) const {
+  assert(view_.kcr != nullptr && "rank probes require the KcR-tree");
+  return std::make_unique<LocalProbes>(view_, dist_norm_, specs,
+                                       target_scores);
 }
 
 }  // namespace yask

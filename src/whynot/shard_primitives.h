@@ -1,13 +1,13 @@
 // Copyright (c) 2026 The YASK reproduction authors.
-// Per-shard why-not primitives: the single-shard halves of every oracle
-// fan-out, factored out of the oracle so that EVERY deployment shape runs
-// the same code on a shard's data.
+// Per-shard why-not primitives and the in-process leg built from them: the
+// single-shard halves of every oracle fan-out, written once so that EVERY
+// deployment shape runs the same code on a shard's data.
 //
-// Three call sites share these:
-//   * LocalWhyNotOracle       — one shard, in process (views it as 1 shard);
-//   * ShardedWhyNotOracle     — N shards, fan-out over a thread pool;
-//   * ShardService (remote)   — one shard behind HTTP; the coordinator's
-//                               RemoteShardOracle merges the responses.
+// Two legs (src/whynot/shard_leg.h) run these:
+//   * LocalShardLeg  — declared below; the in-process oracles hold one per
+//                      shard, and ShardService serves one behind HTTP;
+//   * RemoteShardLeg — the coordinator's view of one replica set, whose
+//                      shard servers answer through a LocalShardLeg.
 // The cross-layout bit-identity argument (docs/architecture.md, "Distributed
 // why-not") only needs each shard's contribution to be the same doubles
 // arithmetic everywhere — which is guaranteed here by having exactly one
@@ -18,6 +18,7 @@
 #define YASK_WHYNOT_SHARD_PRIMITIVES_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/index/kcr_tree.h"
@@ -25,18 +26,19 @@
 #include "src/index/setr_tree.h"
 #include "src/query/query.h"
 #include "src/query/scoring.h"
+#include "src/query/topk_engine.h"
 #include "src/storage/object_store.h"
 #include "src/whynot/keyword_adaption.h"
+#include "src/whynot/shard_leg.h"
 
 namespace yask {
 
-/// One shard as the generic fan-out machinery sees it. `to_global` maps the
-/// shard store's local ids to global ids (null = ids are already global,
-/// i.e. the unsharded layout).
+/// One shard's data. `to_global` maps the shard store's local ids to global
+/// ids (null = ids are already global, i.e. the unsharded layout).
 struct OracleShardView {
   const ObjectStore* store = nullptr;
-  const SetRTree* setr = nullptr;  // Null only where Rank() is never used.
-  const KcRTree* kcr = nullptr;    // Null only where ProbeRank() is unused.
+  const SetRTree* setr = nullptr;  // Null only where TopK/Rank are unused.
+  const KcRTree* kcr = nullptr;    // Null only where probes are unused.
   const std::vector<ObjectId>* to_global = nullptr;
 };
 
@@ -47,40 +49,20 @@ size_t ShardScanOutscoring(const OracleShardView& view, const Scorer& scorer,
                            double target_score, ObjectId target_global);
 
 /// One shard's Eqn. (3) score-plane state for one query: the plane points
-/// (basic mode) or a ScorePlaneIndex over them (optimized mode), with the
-/// two per-shard primitives the weight sweep fans out — count-above and
-/// crossing collection. Plane points carry GLOBAL ids.
-class ShardPlane {
+/// (basic mode) or a ScorePlaneIndex over them (optimized mode). Plane points
+/// carry GLOBAL ids. Each count compares against anchor.ScoreAt(w), the same
+/// double in every layout.
+class ShardPlane : public LegPlane {
  public:
   ShardPlane(const OracleShardView& view, const Query& query, double dist_norm,
              bool optimized);
 
-  /// Tie-aware count of this shard's points outscoring `anchor` at weight
-  /// `w`. `threshold` must be anchor.ScoreAt(w) — the caller computes it
-  /// once per sweep event so every shard compares against the same double.
-  /// Allocation-free (this sits on the weight sweep's innermost loop).
-  size_t CountAbove(double w, double threshold, const PlanePoint& anchor,
-                    size_t* nodes_visited) const;
-
-  /// Batched CountAbove over the (weights × anchors) grid:
-  /// (*counts)[wi * anchors.size() + a] = CountAbove(weights[wi], anchors[a])
-  /// with threshold anchors[a].ScoreAt(weights[wi]) — the same expression
-  /// every caller of CountAbove evaluates, so each batched count is the same
-  /// double-for-double computation as its per-call twin. `counts` must be
-  /// pre-sized to weights.size() * anchors.size().
-  void CountAboveBatch(const std::vector<double>& weights,
-                       const std::vector<PlanePoint>& anchors,
-                       std::vector<size_t>* counts,
-                       size_t* nodes_visited) const;
-
-  /// Appends every crossing weight of `anchor`'s score line with one of this
-  /// shard's lines inside [wlo, whi] to `events` (duplicates allowed — the
-  /// caller sorts and deduplicates the merged set).
-  void CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
-                        std::vector<double>* events,
-                        size_t* nodes_visited) const;
-
-  bool optimized() const { return optimized_; }
+  void CountBatch(const std::vector<double>& weights,
+                  const std::vector<PlanePoint>& anchors,
+                  std::vector<size_t>* counts,
+                  size_t* nodes_visited) override;
+  void Crossings(const PlanePoint& anchor, double wlo, double whi,
+                 std::vector<double>* events, size_t* nodes_visited) override;
 
  private:
   bool optimized_;
@@ -127,6 +109,33 @@ class ShardRankRefiner {
   size_t exact_ = 0;
   size_t sum_lower_ = 0;
   size_t sum_upper_ = 0;
+};
+
+/// The in-process leg: one shard's store and indexes, scored with the
+/// GLOBAL normaliser, answering with GLOBAL ids. The view's pointees must
+/// outlive the leg.
+class LocalShardLeg : public ShardLeg {
+ public:
+  LocalShardLeg(const OracleShardView& view, double dist_norm);
+
+  size_t size() const override { return view_.store->size(); }
+  bool has_kcr() const override { return view_.kcr != nullptr; }
+  std::optional<Rect> root_mbr() const override;
+  TopKResult TopK(const Query& query, double prune_below,
+                  TopKStats* stats) const override;
+  std::vector<size_t> Count(const std::vector<OracleTargetSpec>& specs,
+                            const std::vector<double>& target_scores,
+                            CountMethod method) const override;
+  std::unique_ptr<LegPlane> OpenPlane(const Query& query,
+                                      bool optimized) const override;
+  std::unique_ptr<LegProbes> OpenProbes(
+      const std::vector<OracleTargetSpec>& specs,
+      const std::vector<double>& target_scores) const override;
+
+ private:
+  OracleShardView view_;
+  double dist_norm_;
+  std::optional<SetRTopKEngine> topk_;  // Engaged when the SetR-tree is.
 };
 
 }  // namespace yask

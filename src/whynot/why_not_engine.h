@@ -49,7 +49,7 @@ struct WhyNotOptions {
   /// no state — each opens its own oracle sessions — and both searches are
   /// internally level-synchronous, so overlap changes no result bytes).
   /// Disable for benchmarks that instrument per-shard busy time through
-  /// OracleContext::shard_busy_ms, which is not safe under concurrent
+  /// WhyNotOracle::set_shard_busy_ms, which is not safe under concurrent
   /// oracle calls.
   bool overlap_stages = true;
 };

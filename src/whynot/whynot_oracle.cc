@@ -1,476 +1,339 @@
 #include "src/whynot/whynot_oracle.h"
 
 #include <algorithm>
-#include <cassert>
-#include <latch>
+#include <limits>
+#include <utility>
 
 #include "src/common/timer.h"
+#include "src/common/trace.h"
 #include "src/corpus/corpus.h"
-#include "src/query/ranking.h"
 
 namespace yask {
 
 namespace {
 
-/// Runs fn(s) for the given shard indices — on the pool when the context
-/// has one and more than one shard is involved (the caller blocks until all
-/// complete), inline otherwise — accumulating per-shard busy time when the
-/// bench instrumentation is on. Pool tasks are leaves (they never
-/// re-submit), so a caller waiting on the latch cannot deadlock the pool.
-void ForShards(const OracleContext& ctx, const std::vector<size_t>& shards,
-               const std::function<void(size_t)>& fn) {
-  auto timed = [&](size_t s) {
-    if (ctx.shard_busy_ms == nullptr) {
-      fn(s);
-      return;
-    }
-    Timer timer;
-    fn(s);
-    (*ctx.shard_busy_ms)[s] += timer.ElapsedMillis();
-  };
-  if (ctx.pool == nullptr || shards.size() <= 1) {
-    for (size_t s : shards) timed(s);
-    return;
+constexpr double kNoPrune = -std::numeric_limits<double>::infinity();
+
+/// Sums per-leg vectors elementwise into the first one (the partition-sum
+/// merge of every count primitive).
+std::vector<size_t> SumLegs(std::vector<std::vector<size_t>> parts) {
+  std::vector<size_t> total = std::move(parts[0]);
+  for (size_t l = 1; l < parts.size(); ++l) {
+    for (size_t i = 0; i < total.size(); ++i) total[i] += parts[l][i];
   }
-  std::latch latch(static_cast<ptrdiff_t>(shards.size()));
-  for (size_t s : shards) {
-    ctx.pool->Submit([&timed, &latch, s] {
-      timed(s);
-      latch.count_down();
-    });
-  }
-  latch.wait();
+  return total;
 }
-
-/// ForShards over every shard view (the context caches the index list).
-void ForEachShard(const OracleContext& ctx,
-                  const std::function<void(size_t)>& fn) {
-  assert(ctx.all_shards.size() == ctx.views.size());
-  ForShards(ctx, ctx.all_shards, fn);
-}
-
-// --- Score-plane session -----------------------------------------------------
-
-/// The one ScorePlaneSession implementation: one ShardPlane per shard view
-/// (src/whynot/shard_primitives.h), merged by partition-sum /
-/// partition-union. One shard with a null mapping reproduces the original
-/// unsharded data path bit for bit.
-class MultiShardScorePlaneSession : public ScorePlaneSession {
- public:
-  MultiShardScorePlaneSession(const OracleContext* ctx,
-                              const WhyNotOracle* oracle, const Query* query,
-                              PrefAdjustMode mode)
-      : ctx_(ctx),
-        oracle_(oracle),
-        query_(query),
-        optimized_(mode == PrefAdjustMode::kOptimized) {
-    planes_.resize(ctx_->views.size());
-    ForEachShard(*ctx_, [&](size_t s) {
-      planes_[s] = std::make_unique<ShardPlane>(ctx_->views[s], *query_,
-                                                ctx_->dist_norm, optimized_);
-    });
-  }
-
-  PlanePoint Anchor(ObjectId global_id) const override {
-    // Computed from the object with the exact arithmetic BuildPlanePoints
-    // uses, so the anchor is the same point in every layout.
-    const ObjectScoreParts parts =
-        ScorePartsOf(*query_, ctx_->dist_norm, oracle_->Object(global_id));
-    return PlanePoint{1.0 - parts.sdist, parts.tsim, global_id};
-  }
-
-  size_t CountAbove(double w, const PlanePoint& anchor,
-                    PreferenceAdjustStats* stats) const override {
-    const size_t n = planes_.size();
-    const double threshold = anchor.ScoreAt(w);
-
-    // This sits on the weight sweep's innermost loop (one call per crossing
-    // event per anchor): the single-shard layout — every legacy caller —
-    // must stay allocation-free like the code it replaced, and the
-    // multi-shard fan-out reuses per-session scratch.
-    if (n == 1) {
-      size_t count;
-      if (ctx_->shard_busy_ms == nullptr) {
-        count = planes_[0]->CountAbove(w, threshold, anchor,
-                                       &stats->index_nodes_visited);
-      } else {
-        Timer timer;
-        count = planes_[0]->CountAbove(w, threshold, anchor,
-                                       &stats->index_nodes_visited);
-        (*ctx_->shard_busy_ms)[0] += timer.ElapsedMillis();
-      }
-      if (!optimized_) ++stats->full_rescans;
-      return count;
-    }
-
-    count_scratch_.assign(n, 0);
-    node_scratch_.assign(n, 0);
-    ForEachShard(*ctx_, [&](size_t s) {
-      count_scratch_[s] =
-          planes_[s]->CountAbove(w, threshold, anchor, &node_scratch_[s]);
-    });
-    size_t total = 0;
-    for (size_t s = 0; s < n; ++s) {
-      total += count_scratch_[s];
-      stats->index_nodes_visited += node_scratch_[s];
-    }
-    if (!optimized_) ++stats->full_rescans;  // One logical dataset rescan.
-    return total;
-  }
-
-  std::vector<size_t> CountAboveBatch(
-      const std::vector<double>& weights,
-      const std::vector<PlanePoint>& anchors,
-      PreferenceAdjustStats* stats) const override {
-    const size_t n = planes_.size();
-    const size_t pairs = weights.size() * anchors.size();
-    // ONE fan-out for the whole (weights × anchors) grid: each shard task
-    // counts every pair, and per-pair totals are the same partition-sums
-    // CountAbove computes — bit-identical merges, one pool dispatch.
-    std::vector<std::vector<size_t>> counts(n);
-    std::vector<size_t> nodes(n, 0);
-    ForEachShard(*ctx_, [&](size_t s) {
-      counts[s].resize(pairs);
-      planes_[s]->CountAboveBatch(weights, anchors, &counts[s], &nodes[s]);
-    });
-    std::vector<size_t> total(pairs, 0);
-    for (size_t s = 0; s < n; ++s) {
-      for (size_t i = 0; i < pairs; ++i) total[i] += counts[s][i];
-      stats->index_nodes_visited += nodes[s];
-    }
-    // One logical dataset rescan per (weight, anchor) pair, mirroring the
-    // per-call accounting of CountAbove in basic mode.
-    if (!optimized_) stats->full_rescans += pairs;
-    return total;
-  }
-
-  void CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
-                        std::vector<double>* events,
-                        PreferenceAdjustStats* stats) const override {
-    const size_t n = planes_.size();
-    std::vector<std::vector<double>> parts(n);
-    std::vector<size_t> nodes(n, 0);
-    ForEachShard(*ctx_, [&](size_t s) {
-      planes_[s]->CollectCrossings(anchor, wlo, whi, &parts[s], &nodes[s]);
-    });
-    // Union in shard order; the caller sorts + deduplicates the merged set,
-    // so the final event sequence is layout-independent.
-    for (size_t s = 0; s < n; ++s) {
-      events->insert(events->end(), parts[s].begin(), parts[s].end());
-      stats->index_nodes_visited += nodes[s];
-    }
-  }
-
- private:
-  const OracleContext* ctx_;
-  const WhyNotOracle* oracle_;
-  const Query* query_;
-  bool optimized_;
-  std::vector<std::unique_ptr<ShardPlane>> planes_;
-  // Fan-out scratch (a session serves one algorithm invocation on one
-  // thread; only the per-shard tasks inside one fan-out run concurrently,
-  // each touching its own slot).
-  mutable std::vector<size_t> count_scratch_;
-  mutable std::vector<size_t> node_scratch_;
-};
-
-// --- Rank probes -------------------------------------------------------------
-
-/// The RankProbeBatch over the context's shard views: per member a candidate
-/// query copy plus one ShardRankRefiner per shard; rank interval of a member
-/// = 1 + elementwise sum of its shard count intervals. RefineLevel descends
-/// every listed member's open frontiers in ONE fan-out (each shard task
-/// walks all members), so the pool — or, remotely, the wire — is hit once
-/// per level instead of once per (member, level). Members live behind
-/// unique_ptrs: the per-shard scorers point into the member's query copy,
-/// which therefore must never move.
-class ContextRankProbeBatch : public RankProbeBatch {
- public:
-  ContextRankProbeBatch(const OracleContext* ctx, const WhyNotOracle* oracle,
-                        const std::vector<OracleTargetSpec>& specs,
-                        KeywordAdaptStats* stats)
-      : ctx_(ctx), stats_(stats) {
-    const size_t n = ctx_->views.size();
-    shard_stats_.resize(n);
-    members_.reserve(specs.size());
-    for (const OracleTargetSpec& spec : specs) {
-      members_.push_back(std::make_unique<Member>());
-      Member& m = *members_.back();
-      m.query = *spec.query;
-      m.target = spec.target;
-      m.target_score =
-          ScorePartsOf(m.query, ctx_->dist_norm, oracle->Object(spec.target))
-              .score;
-      m.scorers.reserve(n);
-      for (size_t s = 0; s < n; ++s) {
-        assert(ctx_->views[s].kcr != nullptr &&
-               "ProbeRankBatch requires the KcR-tree on every shard");
-        m.scorers.emplace_back(*ctx_->views[s].store, m.query,
-                               ctx_->dist_norm);
-      }
-      m.refiners.resize(n);
-    }
-    // One fan-out builds every member's per-shard refiner (a root-node bound
-    // computation each). A batch of one is built inline: its per-shard cost
-    // is far below the pool's dispatch + latch cost, and single probes are
-    // created once per candidate per missing object — a hot loop.
-    auto build_shard = [&](size_t s) {
-      for (const auto& member : members_) {
-        member->refiners[s] = std::make_unique<ShardRankRefiner>(
-            ctx_->views[s], member->scorers[s], member->target,
-            member->target_score, &shard_stats_[s]);
-      }
-    };
-    if (members_.size() == 1) {
-      for (size_t s = 0; s < n; ++s) build_shard(s);
-    } else {
-      ForEachShard(*ctx_, build_shard);
-    }
-  }
-
-  ContextRankProbeBatch(const ContextRankProbeBatch&) = delete;
-  ContextRankProbeBatch& operator=(const ContextRankProbeBatch&) = delete;
-
-  ~ContextRankProbeBatch() override {
-    for (const KeywordAdaptStats& s : shard_stats_) {
-      stats_->kcr_nodes_expanded += s.kcr_nodes_expanded;
-      stats_->objects_scored += s.objects_scored;
-    }
-  }
-
-  size_t size() const override { return members_.size(); }
-
-  size_t lower(size_t i) const override {
-    size_t sum = 0;
-    for (const auto& r : members_[i]->refiners) sum += r->count_lower();
-    return sum + 1;
-  }
-  size_t upper(size_t i) const override {
-    size_t sum = 0;
-    for (const auto& r : members_[i]->refiners) sum += r->count_upper();
-    return sum + 1;
-  }
-  bool resolved(size_t i) const override {
-    for (const auto& r : members_[i]->refiners) {
-      if (!r->resolved()) return false;
-    }
-    return true;
-  }
-
-  void RefineLevel(const std::vector<size_t>& members) override {
-    // Only the shards with open frontiers for at least one listed member do
-    // work; dispatching the rest would spend pool scheduling on no-ops in
-    // the hottest /whynot loop.
-    std::vector<size_t> active;
-    for (size_t s = 0; s < ctx_->views.size(); ++s) {
-      for (size_t m : members) {
-        if (!members_[m]->refiners[s]->resolved()) {
-          active.push_back(s);
-          break;
-        }
-      }
-    }
-    ForShards(*ctx_, active, [&](size_t s) {
-      for (size_t m : members) {
-        ShardRankRefiner& r = *members_[m]->refiners[s];
-        if (!r.resolved()) r.RefineLevel();
-      }
-    });
-  }
-
- private:
-  struct Member {
-    Query query;
-    ObjectId target = kInvalidObject;
-    double target_score = 0.0;
-    std::vector<Scorer> scorers;  // One per shard, bound to `query`.
-    std::vector<std::unique_ptr<ShardRankRefiner>> refiners;  // One per shard.
-  };
-
-  const OracleContext* ctx_;
-  std::vector<std::unique_ptr<Member>> members_;
-  std::vector<KeywordAdaptStats> shard_stats_;  // Flushed into stats_ at end.
-  KeywordAdaptStats* stats_;
-};
-
-/// The base-class fallback batch: independent per-spec probes, refined one
-/// by one. Semantically identical to the fan-out batches, just without the
-/// shared round-trips — custom oracles get batching correctness for free.
-class WrappedRankProbeBatch : public RankProbeBatch {
- public:
-  WrappedRankProbeBatch(const WhyNotOracle& oracle,
-                        const std::vector<OracleTargetSpec>& specs,
-                        KeywordAdaptStats* stats) {
-    probes_.reserve(specs.size());
-    for (const OracleTargetSpec& spec : specs) {
-      probes_.push_back(oracle.ProbeRank(*spec.query, spec.target, stats));
-    }
-  }
-
-  size_t size() const override { return probes_.size(); }
-  size_t lower(size_t i) const override { return probes_[i]->lower(); }
-  size_t upper(size_t i) const override { return probes_[i]->upper(); }
-  bool resolved(size_t i) const override { return probes_[i]->resolved(); }
-  void RefineLevel(const std::vector<size_t>& members) override {
-    for (size_t m : members) {
-      if (!probes_[m]->resolved()) probes_[m]->RefineLevel();
-    }
-  }
-
- private:
-  std::vector<std::unique_ptr<RankProbe>> probes_;
-};
 
 }  // namespace
 
-// --- ScorePlaneSession defaults ----------------------------------------------
+// --- Score-plane session -----------------------------------------------------
+
+ScorePlaneSession::ScorePlaneSession(const WhyNotOracle& oracle,
+                                     const Query& query, PrefAdjustMode mode)
+    : oracle_(&oracle),
+      query_(&query),
+      optimized_(mode == PrefAdjustMode::kOptimized) {
+  planes_.resize(oracle.legs_.size());
+  oracle.ForLegs(oracle.all_legs_, [&](size_t l) {
+    planes_[l] = oracle.legs_[l]->OpenPlane(*query_, optimized_);
+  });
+}
+
+PlanePoint ScorePlaneSession::Anchor(ObjectId global_id) const {
+  // Computed from the object with the exact arithmetic BuildPlanePoints
+  // uses, so the anchor is the same point in every layout.
+  const ObjectScoreParts parts = ScorePartsOf(*query_, oracle_->dist_norm(),
+                                              oracle_->Object(global_id));
+  return PlanePoint{1.0 - parts.sdist, parts.tsim, global_id};
+}
 
 std::vector<size_t> ScorePlaneSession::CountAboveBatch(
     const std::vector<double>& weights, const std::vector<PlanePoint>& anchors,
     PreferenceAdjustStats* stats) const {
-  std::vector<size_t> counts;
-  counts.reserve(weights.size() * anchors.size());
-  for (const double w : weights) {
-    for (const PlanePoint& anchor : anchors) {
-      counts.push_back(CountAbove(w, anchor, stats));
-    }
-  }
-  return counts;
+  const size_t n = planes_.size();
+  const size_t pairs = weights.size() * anchors.size();
+  std::vector<std::vector<size_t>> counts(n, std::vector<size_t>(pairs, 0));
+  std::vector<size_t> nodes(n, 0);
+  oracle_->ForLegs(oracle_->all_legs_, [&](size_t l) {
+    planes_[l]->CountBatch(weights, anchors, &counts[l], &nodes[l]);
+  });
+  for (const size_t v : nodes) stats->index_nodes_visited += v;
+  // One logical dataset rescan per (weight, anchor) pair in basic mode.
+  if (!optimized_) stats->full_rescans += pairs;
+  return SumLegs(std::move(counts));
 }
 
-// --- WhyNotOracle defaults ---------------------------------------------------
+void ScorePlaneSession::CollectCrossings(const PlanePoint& anchor, double wlo,
+                                         double whi,
+                                         std::vector<double>* events,
+                                         PreferenceAdjustStats* stats) const {
+  const size_t n = planes_.size();
+  std::vector<std::vector<double>> parts(n);
+  std::vector<size_t> nodes(n, 0);
+  oracle_->ForLegs(oracle_->all_legs_, [&](size_t l) {
+    planes_[l]->Crossings(anchor, wlo, whi, &parts[l], &nodes[l]);
+  });
+  // Union in leg order; the caller sorts + deduplicates the merged set, so
+  // the final event sequence is layout-independent.
+  for (size_t l = 0; l < n; ++l) {
+    events->insert(events->end(), parts[l].begin(), parts[l].end());
+    stats->index_nodes_visited += nodes[l];
+  }
+}
+
+size_t ScorePlaneSession::PreferredSweepBatch() const {
+  // The slowest leg gates every fan-out, so IT sets how much a saved
+  // round-trip is worth; one leg that gains nothing from speculation (in
+  // process, or a shard without the batch route) makes it pointless.
+  size_t batch = 1;
+  for (const auto& plane : planes_) {
+    const size_t b = plane->PreferredSweepBatch();
+    if (b <= 1) return 1;
+    batch = std::max(batch, b);
+  }
+  return batch;
+}
+
+// --- Rank-probe batch --------------------------------------------------------
+
+RankProbeBatch::RankProbeBatch(const WhyNotOracle& oracle,
+                               const std::vector<OracleTargetSpec>& specs,
+                               KeywordAdaptStats* stats)
+    : oracle_(&oracle), stats_(stats), size_(specs.size()) {
+  const std::vector<double> target_scores = oracle.TargetScores(specs);
+  probes_.resize(oracle.legs_.size());
+  oracle.ForLegs(oracle.all_legs_, [&](size_t l) {
+    probes_[l] = oracle.legs_[l]->OpenProbes(specs, target_scores);
+  });
+}
+
+RankProbeBatch::~RankProbeBatch() {
+  for (const auto& probes : probes_) {
+    stats_->kcr_nodes_expanded += probes->work().kcr_nodes_expanded;
+    stats_->objects_scored += probes->work().objects_scored;
+  }
+}
+
+size_t RankProbeBatch::lower(size_t i) const {
+  size_t sum = 0;
+  for (const auto& probes : probes_) sum += probes->count_lower(i);
+  return sum + 1;
+}
+
+size_t RankProbeBatch::upper(size_t i) const {
+  size_t sum = 0;
+  for (const auto& probes : probes_) sum += probes->count_upper(i);
+  return sum + 1;
+}
+
+bool RankProbeBatch::resolved(size_t i) const {
+  for (const auto& probes : probes_) {
+    if (!probes->resolved(i)) return false;
+  }
+  return true;
+}
+
+void RankProbeBatch::RefineLevel(const std::vector<size_t>& members) {
+  // Only the legs with an open frontier for at least one listed member do
+  // work; dispatching the rest would spend pool scheduling (or a round-trip)
+  // on no-ops in the hottest /whynot loop.
+  std::vector<size_t> active;
+  for (size_t l = 0; l < probes_.size(); ++l) {
+    for (const size_t m : members) {
+      if (!probes_[l]->resolved(m)) {
+        active.push_back(l);
+        break;
+      }
+    }
+  }
+  oracle_->ForLegs(active, [&](size_t l) { probes_[l]->Refine(members); });
+}
+
+// --- WhyNotOracle ------------------------------------------------------------
+
+WhyNotOracle::WhyNotOracle(std::vector<std::unique_ptr<ShardLeg>> legs,
+                           ThreadPool* pool, double dist_norm,
+                           ObjectLookup object)
+    : legs_(std::move(legs)),
+      pool_(pool),
+      dist_norm_(dist_norm),
+      object_(std::move(object)) {
+  for (size_t l = 0; l < legs_.size(); ++l) {
+    all_legs_.push_back(l);
+    size_ += legs_[l]->size();
+  }
+}
+
+WhyNotOracle::~WhyNotOracle() = default;
+
+bool WhyNotOracle::has_kcr() const {
+  for (const auto& leg : legs_) {
+    if (!leg->has_kcr()) return false;
+  }
+  return true;
+}
+
+void WhyNotOracle::ForLegs(const std::vector<size_t>& legs,
+                           const std::function<void(size_t)>& fn) const {
+  FanOut(pool_, legs.size(), [&](size_t i) {
+    const size_t l = legs[i];
+    if (shard_busy_ms_ == nullptr) {
+      fn(l);
+      return;
+    }
+    Timer timer;
+    fn(l);
+    (*shard_busy_ms_)[l] += timer.ElapsedMillis();
+  });
+}
+
+TopKResult WhyNotOracle::TopK(const Query& query, TopKStats* stats) const {
+  if (query.k == 0) return {};
+  const size_t n = legs_.size();
+  TopKStats unused;
+  if (stats == nullptr) stats = &unused;
+  if (n == 1) return legs_[0]->TopK(query, kNoPrune, stats);
+
+  // Phase 1: search the query's home leg — the one whose SetR root MBR is
+  // nearest the query point — to completion. Its k-th score then bounds
+  // what any other leg must beat (the classic distributed-top-k threshold
+  // broadcast): far legs usually stop at their root, so the fan-out costs
+  // roughly one small-tree search per query instead of N.
+  std::vector<double> distance(n, std::numeric_limits<double>::infinity());
+  size_t home = 0;
+  for (size_t l = 0; l < n; ++l) {
+    if (const std::optional<Rect> mbr = legs_[l]->root_mbr()) {
+      distance[l] = mbr->MinDistance(query.loc);
+    }
+    if (distance[l] < distance[home]) home = l;
+  }
+  std::vector<TopKResult> parts(n);
+  std::vector<TopKStats> part_stats(n);
+  parts[home] = legs_[home]->TopK(query, kNoPrune, &part_stats[home]);
+
+  // Scores are bit-identical across layouts, so the ScoredObject sort (score
+  // desc, global id asc) reproduces the unsharded ordering exactly — ties
+  // and all; truncation only ever drops rows that k kept rows dominate.
+  TopKResult merged;
+  auto merge_part = [&](size_t l) {
+    merged.insert(merged.end(), parts[l].begin(), parts[l].end());
+    std::sort(merged.begin(), merged.end());
+    if (merged.size() > query.k) merged.resize(query.k);
+  };
+  merge_part(home);
+  // Skipping only strictly-worse candidates keeps the fan-out exact: an
+  // object pruned by the threshold scores strictly below the current k-th
+  // result, so the D6 ordering can never place it in the top-k.
+  auto threshold = [&] {
+    return merged.size() == query.k ? merged.back().score : kNoPrune;
+  };
+
+  // Phase 2: the remaining legs, thresholded.
+  std::vector<size_t> rest;
+  for (size_t l = 0; l < n; ++l) {
+    if (l != home) rest.push_back(l);
+  }
+  const std::string fanout_detail = std::to_string(n - 1) + " shards";
+  if (pool_ != nullptr) {
+    // Parallel: every other leg searches against the home leg's k-th score.
+    const double prune_below = threshold();
+    {
+      ScopedSpan fanout_span("topk/fanout", fanout_detail);
+      FanOut(pool_, rest.size(), [&](size_t i) {
+        const size_t l = rest[i];
+        parts[l] = legs_[l]->TopK(query, prune_below, &part_stats[l]);
+      });
+    }
+    ScopedSpan merge_span("topk/merge");
+    for (const size_t l : rest) merge_part(l);
+  } else {
+    // Sequential (single-core host): nearest legs first, re-tightening the
+    // threshold after each merge — later legs see the best bound yet. The
+    // merges interleave with the searches, so one span covers both.
+    ScopedSpan fanout_span("topk/fanout", fanout_detail);
+    std::stable_sort(rest.begin(), rest.end(), [&](size_t a, size_t b) {
+      return distance[a] < distance[b];
+    });
+    for (const size_t l : rest) {
+      parts[l] = legs_[l]->TopK(query, threshold(), &part_stats[l]);
+      merge_part(l);
+    }
+  }
+  for (const TopKStats& ps : part_stats) {
+    stats->nodes_popped += ps.nodes_popped;
+    stats->objects_scored += ps.objects_scored;
+  }
+  return merged;
+}
+
+std::vector<double> WhyNotOracle::TargetScores(
+    const std::vector<OracleTargetSpec>& specs) const {
+  std::vector<double> scores;
+  scores.reserve(specs.size());
+  for (const OracleTargetSpec& spec : specs) {
+    scores.push_back(
+        ScorePartsOf(*spec.query, dist_norm_, Object(spec.target)).score);
+  }
+  return scores;
+}
+
+std::vector<size_t> WhyNotOracle::CountFanOut(
+    const std::vector<OracleTargetSpec>& specs, CountMethod method) const {
+  const std::vector<double> target_scores = TargetScores(specs);
+  std::vector<std::vector<size_t>> counts(legs_.size());
+  ForLegs(all_legs_, [&](size_t l) {
+    counts[l] = legs_[l]->Count(specs, target_scores, method);
+  });
+  return SumLegs(std::move(counts));
+}
+
+size_t WhyNotOracle::Rank(const Query& query, ObjectId global_id) const {
+  return CountFanOut({{&query, global_id}}, CountMethod::kSetR)[0] + 1;
+}
 
 std::vector<size_t> WhyNotOracle::OutscoringCountBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
-  std::vector<size_t> counts;
-  counts.reserve(specs.size());
-  for (const OracleTargetSpec& spec : specs) {
-    counts.push_back(OutscoringCount(*spec.query, spec.target, stats));
-  }
-  return counts;
+  stats->objects_scored += size_ * specs.size();
+  return CountFanOut(specs, CountMethod::kScan);
+}
+
+std::unique_ptr<ScorePlaneSession> WhyNotOracle::PrepareScorePlane(
+    const Query& query, PrefAdjustMode mode) const {
+  return std::make_unique<ScorePlaneSession>(*this, query, mode);
 }
 
 std::unique_ptr<RankProbeBatch> WhyNotOracle::ProbeRankBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
-  return std::make_unique<WrappedRankProbeBatch>(*this, specs, stats);
-}
-
-// --- ContextWhyNotOracle -----------------------------------------------------
-
-size_t ContextWhyNotOracle::size() const {
-  size_t total = 0;
-  for (const OracleShardView& v : ctx_.views) total += v.store->size();
-  return total;
-}
-
-size_t ContextWhyNotOracle::Rank(const Query& query,
-                                 ObjectId global_id) const {
-  const double target_score =
-      ScorePartsOf(query, ctx_.dist_norm, Object(global_id)).score;
-  const size_t n = ctx_.views.size();
-  std::vector<size_t> counts(n, 0);
-  ForEachShard(ctx_, [&](size_t s) {
-    const OracleShardView& view = ctx_.views[s];
-    assert(view.setr != nullptr && "Rank requires the SetR-tree");
-    const Scorer scorer(*view.store, query, ctx_.dist_norm);
-    counts[s] = CountOutscoring(*view.store, *view.setr, scorer, target_score,
-                                global_id, view.to_global);
-  });
-  size_t above = 0;
-  for (size_t c : counts) above += c;
-  return above + 1;
-}
-
-size_t ContextWhyNotOracle::OutscoringCount(const Query& query,
-                                            ObjectId global_id,
-                                            KeywordAdaptStats* stats) const {
-  const double target_score =
-      ScorePartsOf(query, ctx_.dist_norm, Object(global_id)).score;
-  const size_t n = ctx_.views.size();
-  std::vector<size_t> counts(n, 0);
-  ForEachShard(ctx_, [&](size_t s) {
-    const Scorer scorer(*ctx_.views[s].store, query, ctx_.dist_norm);
-    counts[s] =
-        ShardScanOutscoring(ctx_.views[s], scorer, target_score, global_id);
-  });
-  size_t above = 0;
-  for (size_t s = 0; s < n; ++s) {
-    above += counts[s];
-    stats->objects_scored += ctx_.views[s].store->size();
-  }
-  return above;
-}
-
-std::vector<size_t> ContextWhyNotOracle::OutscoringCountBatch(
-    const std::vector<OracleTargetSpec>& specs,
-    KeywordAdaptStats* stats) const {
-  // Target scores are resolved up front (the target of a spec need not live
-  // in any particular shard), then one fan-out scans every spec per shard.
-  std::vector<double> target_scores;
-  target_scores.reserve(specs.size());
-  for (const OracleTargetSpec& spec : specs) {
-    target_scores.push_back(
-        ScorePartsOf(*spec.query, ctx_.dist_norm, Object(spec.target)).score);
-  }
-  const size_t n = ctx_.views.size();
-  std::vector<std::vector<size_t>> counts(n,
-                                          std::vector<size_t>(specs.size()));
-  ForEachShard(ctx_, [&](size_t s) {
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const Scorer scorer(*ctx_.views[s].store, *specs[i].query,
-                          ctx_.dist_norm);
-      counts[s][i] = ShardScanOutscoring(ctx_.views[s], scorer,
-                                         target_scores[i], specs[i].target);
-    }
-  });
-  std::vector<size_t> total(specs.size(), 0);
-  for (size_t s = 0; s < n; ++s) {
-    for (size_t i = 0; i < specs.size(); ++i) total[i] += counts[s][i];
-    stats->objects_scored += ctx_.views[s].store->size() * specs.size();
-  }
-  return total;
-}
-
-std::unique_ptr<ScorePlaneSession> ContextWhyNotOracle::PrepareScorePlane(
-    const Query& query, PrefAdjustMode mode) const {
-  return std::make_unique<MultiShardScorePlaneSession>(&ctx_, this, &query,
-                                                       mode);
-}
-
-std::unique_ptr<RankProbe> ContextWhyNotOracle::ProbeRank(
-    const Query& candidate, ObjectId global_id,
-    KeywordAdaptStats* stats) const {
-  const std::vector<OracleTargetSpec> specs{{&candidate, global_id}};
-  return std::make_unique<BatchOfOneProbe>(
-      std::make_unique<ContextRankProbeBatch>(&ctx_, this, specs, stats));
-}
-
-std::unique_ptr<RankProbeBatch> ContextWhyNotOracle::ProbeRankBatch(
-    const std::vector<OracleTargetSpec>& specs,
-    KeywordAdaptStats* stats) const {
-  return std::make_unique<ContextRankProbeBatch>(&ctx_, this, specs, stats);
+  return std::make_unique<RankProbeBatch>(*this, specs, stats);
 }
 
 // --- LocalWhyNotOracle -------------------------------------------------------
 
+namespace {
+
+std::vector<std::unique_ptr<ShardLeg>> OneLeg(const ObjectStore& store,
+                                              const SetRTree* setr,
+                                              const KcRTree* kcr) {
+  std::vector<std::unique_ptr<ShardLeg>> legs;
+  legs.push_back(std::make_unique<LocalShardLeg>(
+      OracleShardView{&store, setr, kcr, nullptr}, store.BoundsDiagonal()));
+  return legs;
+}
+
+}  // namespace
+
 LocalWhyNotOracle::LocalWhyNotOracle(const ObjectStore& store,
                                      const SetRTree* setr, const KcRTree* kcr)
-    : store_(&store) {
-  ctx_.views.push_back(OracleShardView{&store, setr, kcr, nullptr});
-  ctx_.all_shards.push_back(0);
-  ctx_.dist_norm = store.BoundsDiagonal();
-  if (setr != nullptr) topk_.emplace(store, *setr);
-}
+    : WhyNotOracle(OneLeg(store, setr, kcr), /*pool=*/nullptr,
+                   store.BoundsDiagonal(),
+                   [&store](ObjectId id) -> const SpatialObject& {
+                     return store.Get(id);
+                   }) {}
 
 LocalWhyNotOracle::LocalWhyNotOracle(const Corpus& corpus)
     : LocalWhyNotOracle(corpus.store(), &corpus.setr(),
                         corpus.has_kcr() ? &corpus.kcr() : nullptr) {}
-
-TopKResult LocalWhyNotOracle::TopK(const Query& query, TopKStats* stats) const {
-  assert(topk_.has_value() && "TopK requires the SetR-tree");
-  return topk_->Query(query, stats);
-}
 
 }  // namespace yask

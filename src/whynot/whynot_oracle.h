@@ -21,17 +21,17 @@
 //   * the Eqn. (4) rank interval of a candidate query is 1 + Σ over shards
 //     of per-shard KcR count intervals ([lo,hi] sums elementwise).
 //
-// WhyNotOracle captures exactly those primitives. The algorithms run
-// unchanged over any implementation; LocalWhyNotOracle serves one store,
-// ShardedWhyNotOracle (src/corpus/sharded_whynot_oracle.h) fans every call
-// out over the shard pool and merges as above. Determinism argument:
+// WhyNotOracle captures exactly those primitives, batch-only, as ONE
+// fan-out/merge over the corpus's shard legs (src/whynot/shard_leg.h): an
+// in-process shard and a remote replica set differ only in the leg. The
+// algorithms run unchanged over every layout. Determinism argument:
 // docs/architecture.md, "Distributed why-not".
 
 #ifndef YASK_WHYNOT_WHYNOT_ORACLE_H_
 #define YASK_WHYNOT_WHYNOT_ORACLE_H_
 
+#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -44,6 +44,7 @@
 #include "src/storage/object_store.h"
 #include "src/whynot/keyword_adaption.h"
 #include "src/whynot/preference_adjustment.h"
+#include "src/whynot/shard_leg.h"
 #include "src/whynot/shard_primitives.h"
 
 namespace yask {
@@ -70,235 +71,178 @@ inline ObjectScoreParts ScorePartsOf(const Query& query, double dist_norm,
   return parts;
 }
 
-/// A per-query score-plane session: the Eqn. (3) primitives over whatever
-/// corpus layout the oracle serves. The query passed to PrepareScorePlane
-/// must outlive the session.
+class WhyNotOracle;
+
+/// A per-query score-plane session: the Eqn. (3) primitives over every leg
+/// of the oracle, merged by partition-sum (counts) and union (crossings).
+/// The query passed to PrepareScorePlane must outlive the session. A session
+/// serves one algorithm invocation on one thread.
 class ScorePlaneSession {
  public:
-  virtual ~ScorePlaneSession() = default;
+  ScorePlaneSession(const WhyNotOracle& oracle, const Query& query,
+                    PrefAdjustMode mode);
 
   /// The score-plane point (1 − SDist, TSim) of a missing object, carrying
   /// its GLOBAL id (the tie-break identity everywhere in the weight sweep).
-  virtual PlanePoint Anchor(ObjectId global_id) const = 0;
+  PlanePoint Anchor(ObjectId global_id) const;
 
-  /// Tie-aware count of objects outscoring `anchor` at weight `w`
-  /// (rank − 1). Work counters accumulate into `stats`.
-  virtual size_t CountAbove(double w, const PlanePoint& anchor,
-                            PreferenceAdjustStats* stats) const = 0;
+  /// counts[wi * anchors.size() + a] == tie-aware count of objects
+  /// outscoring anchors[a] at weights[wi] (rank − 1), for every pair of the
+  /// grid in ONE fan-out (one request per shard for a remote leg). A single
+  /// count is a grid of one. Work counters accumulate into `stats`.
+  std::vector<size_t> CountAboveBatch(const std::vector<double>& weights,
+                                      const std::vector<PlanePoint>& anchors,
+                                      PreferenceAdjustStats* stats) const;
 
   /// Appends every crossing weight of `anchor`'s score line with another
   /// object's line inside [wlo, whi] to `events` (duplicates allowed — the
   /// caller sorts and deduplicates the merged set).
-  virtual void CollectCrossings(const PlanePoint& anchor, double wlo,
-                                double whi, std::vector<double>* events,
-                                PreferenceAdjustStats* stats) const = 0;
+  void CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
+                        std::vector<double>* events,
+                        PreferenceAdjustStats* stats) const;
 
-  /// Batched CountAbove: counts[wi * anchors.size() + a] ==
-  /// CountAbove(weights[wi], anchors[a]) for every (weight, anchor) pair,
-  /// answerable in ONE fan-out (one request per shard for a remote session)
-  /// instead of one per pair. The base implementation loops; layout-aware
-  /// sessions override. Each count is the same partition-sum either way, so
-  /// results are bit-identical to per-call CountAbove.
-  virtual std::vector<size_t> CountAboveBatch(
-      const std::vector<double>& weights,
-      const std::vector<PlanePoint>& anchors,
-      PreferenceAdjustStats* stats) const;
-
-  /// How many candidate weights per CountAboveBatch this session wants the
-  /// Step-4 sweep to speculate on. In-process sessions return 1 (a fan-out
-  /// costs microseconds; speculated work past the floor cut is pure waste);
-  /// remote sessions size the segment from observed RPC latency.
-  virtual size_t PreferredSweepBatch() const { return 1; }
-};
-
-/// A progressive rank interval for one (candidate query, missing object)
-/// pair: 1 + Σ per-shard KcR outscoring-count intervals, tightened one tree
-/// level at a time ("when traversing the KcR-tree downwards, we get tighter
-/// bounds", §3.3). Contract: lower() <= true rank <= upper() always;
-/// RefineLevel() never widens either end; resolved() means lower == upper.
-class RankProbe {
- public:
-  virtual ~RankProbe() = default;
-  virtual size_t lower() const = 0;
-  virtual size_t upper() const = 0;
-  virtual bool resolved() const = 0;
-  virtual void RefineLevel() = 0;
-};
-
-/// One (query, target object) pair of a batched oracle call. The query must
-/// outlive the call; batch implementations that keep per-target state (rank
-/// probes) copy it.
-struct OracleTargetSpec {
-  const Query* query = nullptr;
-  ObjectId target = kInvalidObject;  // Global id.
-};
-
-/// A batch of Eqn. (4) rank probes sharing fan-outs: created in one fan-out
-/// across the shards, and refined one tree level per fan-out across every
-/// listed member. This is the batching seam of keyword adaption: instead of
-/// one oracle round-trip per (candidate, missing object, level) probe, the
-/// search issues ONE RefineLevel per refinement level covering ALL live
-/// candidates — which a remote oracle turns into one request per shard per
-/// level, regardless of how many candidates are in flight.
-class RankProbeBatch {
- public:
-  virtual ~RankProbeBatch() = default;
-
-  virtual size_t size() const = 0;
-  /// Rank interval of member i (same contract as RankProbe): lower() <=
-  /// true rank <= upper(); RefineLevel never widens; resolved == collapsed.
-  virtual size_t lower(size_t i) const = 0;
-  virtual size_t upper(size_t i) const = 0;
-  virtual bool resolved(size_t i) const = 0;
-  /// Descends every listed member's open frontiers one level in one fan-out.
-  /// Members already resolved are no-ops.
-  virtual void RefineLevel(const std::vector<size_t>& members) = 0;
-};
-
-/// RankProbe as a batch of one — the single-probe API is everywhere a view
-/// over the batch machinery, so both paths refine through identical code
-/// (oracle implementations wrap their batch type in this to serve
-/// ProbeRank).
-class BatchOfOneProbe : public RankProbe {
- public:
-  explicit BatchOfOneProbe(std::unique_ptr<RankProbeBatch> batch)
-      : batch_(std::move(batch)) {}
-
-  size_t lower() const override { return batch_->lower(0); }
-  size_t upper() const override { return batch_->upper(0); }
-  bool resolved() const override { return batch_->resolved(0); }
-  void RefineLevel() override { batch_->RefineLevel(kSelf); }
+  /// How many candidate weights per CountAboveBatch the Step-4 sweep should
+  /// speculate on: 1 in process; from observed RPC latency over the wire.
+  size_t PreferredSweepBatch() const;
 
  private:
-  static inline const std::vector<size_t> kSelf{0};
-  std::unique_ptr<RankProbeBatch> batch_;
+  const WhyNotOracle* oracle_;
+  const Query* query_;
+  bool optimized_;
+  std::vector<std::unique_ptr<LegPlane>> planes_;  // One per leg.
 };
 
-/// The seam. All object ids crossing this interface are GLOBAL ids.
+/// A batch of Eqn. (4) rank probes sharing fan-outs: one rank interval per
+/// (candidate query, missing object) spec, 1 + Σ per-leg KcR outscoring-count
+/// intervals, tightened one tree level at a time ("when traversing the
+/// KcR-tree downwards, we get tighter bounds", §3.3). Created in one fan-out
+/// and refined one level per fan-out across every listed member — one
+/// request per shard per level on a remote oracle, however many candidates
+/// are in flight. Contract per member: lower() <= true rank <= upper();
+/// RefineLevel never widens; resolved == collapsed.
+class RankProbeBatch {
+ public:
+  /// `stats` must outlive the batch (counters are flushed on destruction).
+  RankProbeBatch(const WhyNotOracle& oracle,
+                 const std::vector<OracleTargetSpec>& specs,
+                 KeywordAdaptStats* stats);
+  ~RankProbeBatch();
+  RankProbeBatch(const RankProbeBatch&) = delete;
+  RankProbeBatch& operator=(const RankProbeBatch&) = delete;
+
+  size_t size() const { return size_; }
+  size_t lower(size_t i) const;
+  size_t upper(size_t i) const;
+  bool resolved(size_t i) const;
+  /// Descends every listed member's open frontiers one level in one fan-out
+  /// over the legs that still have work. Members already resolved are no-ops.
+  void RefineLevel(const std::vector<size_t>& members);
+
+ private:
+  const WhyNotOracle* oracle_;
+  KeywordAdaptStats* stats_;
+  size_t size_;
+  std::vector<std::unique_ptr<LegProbes>> probes_;  // One per leg.
+};
+
+/// The seam between the why-not algorithms and the corpus they run over:
+/// the one fan-out/merge over a corpus's shard legs. All object ids crossing
+/// it are GLOBAL ids. LocalWhyNotOracle, ShardedWhyNotOracle
+/// (src/corpus/sharded_whynot_oracle.h) and RemoteShardOracle
+/// (src/corpus/remote_whynot_oracle.h) are its constructors for the three
+/// layouts; they add no behaviour.
 class WhyNotOracle {
  public:
-  virtual ~WhyNotOracle() = default;
+  using ObjectLookup = std::function<const SpatialObject&(ObjectId)>;
 
-  virtual size_t size() const = 0;
+  /// `pool` null = fan-outs run inline on the calling thread. `object`
+  /// resolves a global id to its object.
+  WhyNotOracle(std::vector<std::unique_ptr<ShardLeg>> legs, ThreadPool* pool,
+               double dist_norm, ObjectLookup object);
+  virtual ~WhyNotOracle();
+  WhyNotOracle(const WhyNotOracle&) = delete;
+  WhyNotOracle& operator=(const WhyNotOracle&) = delete;
+
+  size_t size() const { return size_; }
   /// The SDist normaliser of Eqn. (1): the WHOLE dataset's MBR diagonal.
-  virtual double dist_norm() const = 0;
+  double dist_norm() const { return dist_norm_; }
+  /// Every leg carries its KcR-tree (ProbeRankBatch needs it).
+  bool has_kcr() const;
   /// The object with a global id. Note: in a sharded layout the returned
-  /// object's `.id` field is shard-local; use the id you passed for identity.
-  virtual const SpatialObject& Object(ObjectId global_id) const = 0;
+  /// object's `.id` field may be shard-local; use the id you passed.
+  const SpatialObject& Object(ObjectId global_id) const {
+    return object_(global_id);
+  }
 
-  /// Exact top-k under any query, with global result ids.
-  virtual TopKResult TopK(const Query& query,
-                          TopKStats* stats = nullptr) const = 0;
+  /// Exact top-k with global result ids: the query's home leg (nearest SetR
+  /// root) first, its k-th score broadcast to the other legs as a prune
+  /// threshold, rows merged under the ScoredObject order (score desc,
+  /// global id asc) — bit-identical to one unsharded store.
+  TopKResult TopK(const Query& query, TopKStats* stats = nullptr) const;
 
   /// Tie-aware exact rank of an object (D6 order), via pruned index walks.
-  virtual size_t Rank(const Query& query, ObjectId global_id) const = 0;
+  size_t Rank(const Query& query, ObjectId global_id) const;
 
-  /// Tie-aware exact count of objects outscoring `global_id` under `query`
-  /// (== Rank − 1), by full scan — the cache-friendly path the keyword model
-  /// uses for R(M, q) and for basic-mode candidate ranks.
-  virtual size_t OutscoringCount(const Query& query, ObjectId global_id,
-                                 KeywordAdaptStats* stats) const = 0;
+  /// Tie-aware exact count of objects outscoring each spec's target (rank −
+  /// 1), by full scan, in one fan-out — the keyword model's R(M, q) and
+  /// basic-mode candidate ranks. A single count is a batch of one.
+  std::vector<size_t> OutscoringCountBatch(
+      const std::vector<OracleTargetSpec>& specs,
+      KeywordAdaptStats* stats) const;
 
   /// Builds the per-query score-plane state for Eqn. (3). `query` must
   /// outlive the returned session.
-  virtual std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
-      const Query& query, PrefAdjustMode mode) const = 0;
-
-  /// A rank interval for `global_id` under `candidate` (copied into the
-  /// probe). Requires the corpus to have its KcR-tree(s). `stats` must
-  /// outlive the probe (counters are flushed on destruction).
-  virtual std::unique_ptr<RankProbe> ProbeRank(
-      const Query& candidate, ObjectId global_id,
-      KeywordAdaptStats* stats) const = 0;
-
-  /// Batched OutscoringCount: one count per spec, semantically identical to
-  /// calling OutscoringCount per spec but answerable in one fan-out (one
-  /// round-trip per shard for a remote oracle). The base implementation
-  /// loops; layout-aware oracles override.
-  virtual std::vector<size_t> OutscoringCountBatch(
-      const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const;
-
-  /// Batched ProbeRank: one rank interval per spec, created in one fan-out
-  /// and refined level-synchronously (see RankProbeBatch). Same KcR-tree
-  /// requirement as ProbeRank; `stats` must outlive the batch. The base
-  /// implementation wraps per-spec probes; layout-aware oracles override.
-  virtual std::unique_ptr<RankProbeBatch> ProbeRankBatch(
-      const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const;
-};
-
-/// Everything the shared fan-out/merge implementation needs: the shard
-/// views, the global normaliser, and the worker pool (null = run fan-outs
-/// inline on the calling thread — single-shard corpora and one-core hosts).
-struct OracleContext {
-  std::vector<OracleShardView> views;
-  /// Precomputed 0..views.size()-1, so full fan-outs on hot paths reuse one
-  /// index list instead of allocating per call (kept in sync by the oracle
-  /// constructors that fill `views`).
-  std::vector<size_t> all_shards;
-  double dist_norm = 0.0;
-  ThreadPool* pool = nullptr;
-  /// Benchmark instrumentation: when non-null (size == views.size()), every
-  /// per-shard fan-out task adds its busy time here — the scatter-gather
-  /// deployment model of bench_whynot_sharded. Not safe under concurrent
-  /// oracle calls; leave null in servers.
-  std::vector<double>* shard_busy_ms = nullptr;
-};
-
-/// The shared implementation of every oracle primitive except TopK (whose
-/// engines differ): partition-sum / partition-union fan-outs over the
-/// context's shard views. LocalWhyNotOracle and ShardedWhyNotOracle differ
-/// only in how they build the context and answer Object()/TopK().
-class ContextWhyNotOracle : public WhyNotOracle {
- public:
-  size_t size() const override;
-  double dist_norm() const override { return ctx_.dist_norm; }
-
-  size_t Rank(const Query& query, ObjectId global_id) const override;
-  size_t OutscoringCount(const Query& query, ObjectId global_id,
-                         KeywordAdaptStats* stats) const override;
   std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
-      const Query& query, PrefAdjustMode mode) const override;
-  std::unique_ptr<RankProbe> ProbeRank(const Query& candidate,
-                                       ObjectId global_id,
-                                       KeywordAdaptStats* stats) const override;
-  /// One fan-out for the whole batch: each shard task scans/refines every
-  /// spec, so the pool is dispatched once per call instead of once per spec.
-  std::vector<size_t> OutscoringCountBatch(
-      const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const override;
+      const Query& query, PrefAdjustMode mode) const;
+
+  /// Rank intervals for every spec (see RankProbeBatch). Requires
+  /// has_kcr(); `stats` must outlive the batch.
   std::unique_ptr<RankProbeBatch> ProbeRankBatch(
       const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const override;
+      KeywordAdaptStats* stats) const;
 
-  const ThreadPool* pool() const { return ctx_.pool; }
-  void set_shard_busy_ms(std::vector<double>* sink) {
-    ctx_.shard_busy_ms = sink;
-  }
+  const ThreadPool* pool() const { return pool_; }
+  /// Benchmark instrumentation: when non-null (size == number of legs),
+  /// every per-leg why-not fan-out task adds its busy time here — the
+  /// scatter-gather deployment model of bench_whynot_sharded. Not safe under
+  /// concurrent oracle calls; leave null in servers.
+  void set_shard_busy_ms(std::vector<double>* sink) { shard_busy_ms_ = sink; }
 
- protected:
-  OracleContext ctx_;
+ private:
+  friend class ScorePlaneSession;
+  friend class RankProbeBatch;
+
+  /// Runs fn(leg) for the listed legs through FanOut, timing each task into
+  /// the busy sink when one is set.
+  void ForLegs(const std::vector<size_t>& legs,
+               const std::function<void(size_t)>& fn) const;
+  /// Each spec's target score under its query, resolved here: a target need
+  /// not live on the leg being asked.
+  std::vector<double> TargetScores(
+      const std::vector<OracleTargetSpec>& specs) const;
+  /// Partition-sum of the per-leg counts.
+  std::vector<size_t> CountFanOut(const std::vector<OracleTargetSpec>& specs,
+                                  CountMethod method) const;
+
+  std::vector<std::unique_ptr<ShardLeg>> legs_;
+  std::vector<size_t> all_legs_;  // 0..legs_.size()-1, reused by fan-outs.
+  ThreadPool* pool_;
+  double dist_norm_;
+  ObjectLookup object_;
+  size_t size_ = 0;
+  std::vector<double>* shard_busy_ms_ = nullptr;
 };
 
-/// The oracle over one unsharded store — the original why-not data path.
+/// The oracle over one unsharded store — one local leg, no pool.
 /// Null `setr` / `kcr` are allowed for callers that never touch the methods
-/// needing them (the legacy module entry points pass only what they have).
-class LocalWhyNotOracle : public ContextWhyNotOracle {
+/// needing them (the store-level module entry points pass only what they
+/// have).
+class LocalWhyNotOracle : public WhyNotOracle {
  public:
   LocalWhyNotOracle(const ObjectStore& store, const SetRTree* setr,
                     const KcRTree* kcr);
-  /// Over a full corpus (requires nothing; ProbeRank needs corpus.has_kcr()).
+  /// Over a full corpus (ProbeRankBatch needs corpus.has_kcr()).
   explicit LocalWhyNotOracle(const Corpus& corpus);
-
-  const SpatialObject& Object(ObjectId global_id) const override {
-    return store_->Get(global_id);
-  }
-  TopKResult TopK(const Query& query, TopKStats* stats) const override;
-
- private:
-  const ObjectStore* store_;
-  std::optional<SetRTopKEngine> topk_;  // Engaged when setr is present.
 };
 
 }  // namespace yask

@@ -17,6 +17,8 @@
 #include "src/corpus/sharded_corpus.h"
 #include "src/corpus/sharded_whynot_oracle.h"
 #include "src/query/topk_engine.h"
+#include "src/server/http_server.h"
+#include "src/server/shard_protocol.h"
 #include "src/server/shard_service.h"
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
@@ -145,7 +147,6 @@ void RunRemoteTrials(const ObjectStore& store, uint64_t query_seed,
     const ShardedCorpus sharded =
         ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
     const WhyNotEngine local_engine(sharded);
-    const ShardedTopKEngine local_topk(sharded);
 
     ShardFleet fleet(sharded);
     auto connected = RemoteCorpus::Connect(fleet.endpoints);
@@ -158,7 +159,6 @@ void RunRemoteTrials(const ObjectStore& store, uint64_t query_seed,
     EXPECT_EQ(remote.vocab().size(), store.vocab().size());
     EXPECT_TRUE(remote.has_kcr());
 
-    const RemoteTopKClient remote_topk(remote);
     const WhyNotEngine remote_engine(
         std::make_unique<RemoteShardOracle>(remote));
 
@@ -173,8 +173,8 @@ void RunRemoteTrials(const ObjectStore& store, uint64_t query_seed,
 
       // Top-k over the wire == in-process sharded == unsharded.
       const TopKResult expected = baseline.topk().Query(q);
-      ExpectSameResult(remote_topk.Query(q), expected, tag + " topk");
-      ExpectSameResult(local_topk.Query(q), expected, tag + " local topk");
+      ExpectSameResult(remote_engine.TopK(q), expected, tag + " topk");
+      ExpectSameResult(local_engine.TopK(q), expected, tag + " local topk");
 
       // Full why-not stack over the wire.
       const size_t m_count = 1 + trial % 2;
@@ -264,19 +264,19 @@ TEST(RemoteCorpusTest, ShardFailureBumpsTheErrorEpoch) {
   auto connected = RemoteCorpus::Connect(fleet->endpoints, opts);
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
   const RemoteCorpus remote = std::move(connected).value();
-  const RemoteTopKClient topk(remote);
+  const RemoteShardOracle oracle(remote);
 
   Query q;
   q.loc = Point{114.15, 22.28};
   q.doc = LookupKeywords("clean comfortable", remote.vocab());
   q.k = 3;
-  EXPECT_EQ(topk.Query(q).size(), 3u);
+  EXPECT_EQ(oracle.TopK(q).size(), 3u);
   EXPECT_EQ(remote.error_epoch(), 0u);
 
   // Kill the fleet: the next fan-out must bump the epoch, not hang or lie.
   fleet.reset();
   const uint64_t before = remote.error_epoch();
-  (void)topk.Query(q);
+  (void)oracle.TopK(q);
   EXPECT_GT(remote.error_epoch(), before);
   EXPECT_FALSE(remote.last_error().ok());
 }
@@ -292,6 +292,109 @@ TEST(RemoteCorpusTest, TopKOnlyShardsReportMissingKcr) {
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
   EXPECT_FALSE(connected->has_kcr());
   EXPECT_EQ(connected->shards_without_kcr().size(), 2u);
+}
+
+/// A count_batch body over a W x A grid (weights and anchors synthetic: the
+/// cap check must not care what they are).
+std::string PlaneCountBatchBody(uint64_t session, size_t num_weights,
+                                size_t num_anchors) {
+  BufWriter req;
+  req.PutU64(session);
+  req.PutVarU64(num_weights);
+  for (size_t i = 0; i < num_weights; ++i) {
+    req.PutF64((static_cast<double>(i) + 0.5) / num_weights);
+  }
+  req.PutVarU64(num_anchors);
+  for (size_t a = 0; a < num_anchors; ++a) {
+    shardrpc::PutPlanePoint(&req, PlanePoint{0.5, 0.5, ObjectId(a)});
+  }
+  return req.data();
+}
+
+TEST(RemoteCorpusTest, OversizedPlaneGridIsRejectedAndServerStaysUp) {
+  const Corpus corpus = CorpusBuilder().Build(GenerateHotelDataset());
+  ShardService shard(corpus, ShardService::StandaloneInfo(corpus));
+  ASSERT_TRUE(shard.Start().ok());
+
+  Query q;
+  q.loc = Point{114.15, 22.28};
+  q.doc = LookupKeywords("clean comfortable", corpus.vocab());
+  q.k = 3;
+  BufWriter open;
+  shardrpc::PutQuery(&open, q);
+  open.PutU8(1);
+  int status = 0;
+  auto opened = HttpFetch(shard.port(), "POST", shardrpc::kPlaneOpenPath,
+                          open.data(), &status);
+  ASSERT_TRUE(opened.ok());
+  ASSERT_EQ(status, 200);
+  BufReader in(opened->data(), opened->size());
+  const uint64_t session = in.GetU64();
+  ASSERT_TRUE(in.ok());
+
+  // 400k weights x 160k anchors in a 6.4 MB body: the grid would need 512
+  // GB of counts. One pair over the cap is refused the same way.
+  const std::vector<std::pair<size_t, size_t>> oversized = {
+      {400000, 160000}, {shardrpc::kMaxPlanePairs / 512 + 1, 512}};
+  for (const auto& [num_weights, num_anchors] : oversized) {
+    const std::string body =
+        PlaneCountBatchBody(session, num_weights, num_anchors);
+    auto resp = HttpFetch(shard.port(), "POST", shardrpc::kPlaneCountBatchPath,
+                          body, &status);
+    ASSERT_TRUE(resp.ok()) << num_weights << " x " << num_anchors;
+    EXPECT_EQ(status, 400) << *resp;
+  }
+
+  // A grid at the cap is answered, and the server kept serving throughout.
+  auto at_cap = HttpFetch(shard.port(), "POST", shardrpc::kPlaneCountBatchPath,
+                          PlaneCountBatchBody(session, 512, 512), &status);
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_EQ(status, 200);
+  auto health = HttpFetch(shard.port(), "GET", shardrpc::kHealthPath, "",
+                          &status);
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(status, 200);
+  shard.Stop();
+}
+
+TEST(RemoteCorpusTest, PlaneGridOverTheCapIsSplitWithIdenticalCounts) {
+  const ObjectStore store = GenerateHotelDataset();
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+  ShardFleet fleet(sharded);
+  auto connected = RemoteCorpus::Connect(fleet.endpoints);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote = std::move(connected).value();
+  const RemoteShardOracle remote_oracle(remote);
+  const ShardedWhyNotOracle local_oracle(sharded);
+
+  Query q;
+  q.loc = Point{114.15, 22.28};
+  q.doc = LookupKeywords("clean comfortable", remote.vocab());
+  q.k = 3;
+  auto local = local_oracle.PrepareScorePlane(q, PrefAdjustMode::kOptimized);
+  auto wire = remote_oracle.PrepareScorePlane(q, PrefAdjustMode::kOptimized);
+
+  // 600 x 500 = 300k pairs: over the cap, so each shard gets the grid in
+  // two weight blocks of at most kMaxPlanePairs pairs.
+  std::vector<PlanePoint> anchors;
+  for (size_t a = 0; a < 500; ++a) {
+    anchors.push_back(local->Anchor(static_cast<ObjectId>(a % store.size())));
+  }
+  std::vector<double> weights;
+  for (size_t i = 0; i < 600; ++i) weights.push_back((i + 0.5) / 600);
+  ASSERT_GT(weights.size() * anchors.size(), shardrpc::kMaxPlanePairs);
+
+  PreferenceAdjustStats stats;
+  const std::vector<size_t> expected =
+      local->CountAboveBatch(weights, anchors, &stats);
+  const uint64_t requests_before = remote.total_requests();
+  const std::vector<size_t> actual =
+      wire->CountAboveBatch(weights, anchors, &stats);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(remote.total_requests() - requests_before,
+            2 * sharded.num_shards());
+  EXPECT_EQ(remote.error_epoch(), 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 
+#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
 
@@ -101,15 +102,15 @@ TEST(ShardedCorpusTest, SaveLoadRoundTripServesIdenticalResults) {
   EXPECT_DOUBLE_EQ(loaded->dist_norm(), original.dist_norm());
   EXPECT_EQ(loaded->router_description(), original.router_description());
 
-  const ShardedTopKEngine original_engine(original);
-  const ShardedTopKEngine loaded_engine(*loaded);
+  const ShardedWhyNotOracle original_engine(original);
+  const ShardedWhyNotOracle loaded_engine(*loaded);
   Rng rng(9);
   for (int trial = 0; trial < 20; ++trial) {
     Query q;
     q.loc = SampleQueryLocation(source, &rng);
     q.doc = SampleQueryKeywords(source, 3, &rng);
     q.k = 10;
-    EXPECT_EQ(loaded_engine.Query(q), original_engine.Query(q));
+    EXPECT_EQ(loaded_engine.TopK(q), original_engine.TopK(q));
   }
   RemoveShardFiles(prefix, 3);
 }

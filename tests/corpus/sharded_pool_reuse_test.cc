@@ -1,7 +1,7 @@
 // The fan-out worker pool is owned by the ShardedCorpus and SHARED by every
-// engine over it: ShardedTopKEngine (/query) and ShardedWhyNotOracle
-// (/whynot) must borrow the corpus's pool instead of spinning up their own —
-// one pool per serving corpus, however many engines the server wires up.
+// oracle over it (/query and /whynot alike): each ShardedWhyNotOracle must
+// borrow the corpus's pool instead of spinning up its own — one pool per
+// serving corpus, however many oracles the server wires up.
 
 #include <gtest/gtest.h>
 
@@ -37,25 +37,20 @@ TEST(ShardedPoolReuseTest, EnginesShareTheCorpusPool) {
   ASSERT_NE(sharded.pool(), nullptr);
   EXPECT_EQ(sharded.pool()->num_threads(), 2u);
 
-  const ShardedTopKEngine topk(sharded);
-  EXPECT_EQ(topk.pool(), sharded.pool());
-
   const ShardedWhyNotOracle oracle(sharded);
   EXPECT_EQ(oracle.pool(), sharded.pool());
 
-  // A second engine pair still shares the same pool (no per-engine pools).
-  const ShardedTopKEngine topk2(sharded);
+  // A second oracle still shares the same pool (no per-oracle pools).
   const ShardedWhyNotOracle oracle2(sharded);
-  EXPECT_EQ(topk2.pool(), sharded.pool());
   EXPECT_EQ(oracle2.pool(), sharded.pool());
 
-  // Both engines actually work over the shared pool.
+  // Top-k and why-not both actually work over the shared pool.
   Rng rng(5);
   Query q;
   q.loc = SampleQueryLocation(store, &rng);
   q.doc = SampleQueryKeywords(store, 2, &rng);
   q.k = 5;
-  const TopKResult result = topk.Query(q);
+  const TopKResult result = oracle.TopK(q);
   EXPECT_EQ(result.size(), 5u);
   const WhyNotEngine engine(sharded);
   auto answer = engine.Answer(q, {result.back().id});
@@ -81,8 +76,6 @@ TEST(ShardedPoolReuseTest, SingleShardCorpusHasNoPool) {
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 1), options);
   EXPECT_EQ(sharded.pool(), nullptr);
-  const ShardedTopKEngine topk(sharded);
-  EXPECT_EQ(topk.pool(), nullptr);
   const ShardedWhyNotOracle oracle(sharded);
   EXPECT_EQ(oracle.pool(), nullptr);
 }
@@ -99,10 +92,8 @@ TEST(ShardedPoolReuseTest, AutoSizingFollowsTheHost) {
     ASSERT_NE(sharded.pool(), nullptr);
     EXPECT_LE(sharded.pool()->num_threads(), std::min<size_t>(4, hw));
   }
-  // Whatever the host decided, the engines borrow exactly that.
-  const ShardedTopKEngine topk(sharded);
+  // Whatever the host decided, the oracle borrows exactly that.
   const ShardedWhyNotOracle oracle(sharded);
-  EXPECT_EQ(topk.pool(), sharded.pool());
   EXPECT_EQ(oracle.pool(), sharded.pool());
 }
 
@@ -120,8 +111,8 @@ TEST(ShardedPoolReuseTest, LoadedCorpusOwnsAPoolToo) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_NE(loaded->pool(), nullptr);
   EXPECT_EQ(loaded->pool()->num_threads(), 2u);
-  const ShardedTopKEngine topk(*loaded);
-  EXPECT_EQ(topk.pool(), loaded->pool());
+  const ShardedWhyNotOracle oracle(*loaded);
+  EXPECT_EQ(oracle.pool(), loaded->pool());
   for (uint32_t s = 0; s < 3; ++s) {
     std::remove(ShardedCorpus::ShardFilePath(prefix, s).c_str());
   }

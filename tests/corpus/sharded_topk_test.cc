@@ -1,7 +1,7 @@
-// ShardedTopKEngine property test: for randomized datasets, shard counts,
-// routers and queries, the parallel fan-out/merge result must be
-// BIT-IDENTICAL to the unsharded SetRTopKEngine — same ids in the same
-// order, and score doubles that compare equal with ==. This is the
+// Sharded top-k property test (ShardedWhyNotOracle::TopK): for randomized
+// datasets, shard counts, routers and queries, the parallel fan-out/merge
+// result must be BIT-IDENTICAL to the unsharded SetRTopKEngine — same ids in
+// the same order, and score doubles that compare equal with ==. This is the
 // acceptance gate of the sharding layer: if it ever diverges, the merge (or
 // the per-shard scoring normaliser) broke.
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/corpus/sharded_corpus.h"
+#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
@@ -50,7 +51,7 @@ void RunPropertyTrials(const ObjectStore& store, uint64_t query_seed) {
       const std::string label = router->Describe();
       const ShardedCorpus sharded =
           ShardedCorpus::Partition(store, std::move(router), options);
-      const ShardedTopKEngine engine(sharded);
+      const ShardedWhyNotOracle engine(sharded);
 
       Rng rng(query_seed);
       for (int trial = 0; trial < 12; ++trial) {
@@ -61,7 +62,7 @@ void RunPropertyTrials(const ObjectStore& store, uint64_t query_seed) {
         const uint32_t ks[] = {1, 3, 10, 50,
                                static_cast<uint32_t>(store.size() + 5)};
         q.k = ks[trial % 5];
-        ExpectBitIdentical(engine.Query(q), reference.Query(q),
+        ExpectBitIdentical(engine.TopK(q), reference.Query(q),
                            label + " trial " + std::to_string(trial));
       }
     }
@@ -113,14 +114,14 @@ TEST(ShardedTopKPropertyTest, StatsAreAccumulatedAcrossShards) {
   options.build_kcr_tree = false;
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4), options);
-  const ShardedTopKEngine engine(sharded);
+  const ShardedWhyNotOracle engine(sharded);
   Rng rng(5);
   Query q;
   q.loc = SampleQueryLocation(store, &rng);
   q.doc = SampleQueryKeywords(store, 3, &rng);
   q.k = 10;
   TopKStats stats;
-  const TopKResult r = engine.Query(q, &stats);
+  const TopKResult r = engine.TopK(q, &stats);
   EXPECT_EQ(r.size(), 10u);
   EXPECT_GT(stats.nodes_popped, 0u);
   EXPECT_GT(stats.objects_scored, 0u);

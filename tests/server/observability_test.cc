@@ -4,7 +4,9 @@
 //   * /query and /whynot payloads stay BYTE-identical across layouts with
 //     tracing always on — instrumentation must not leak into the contract;
 //   * every layout records the same engine-level span skeleton (query/topk,
-//     whynot/*, kw/refine_level) for the same request shape;
+//     whynot/*, kw/refine_level) for the same request shape, and the two
+//     multi-shard layouts (in-process sharded, remote) also record the same
+//     top-k fan-out spans (topk/fanout, topk/merge) — one fan-out, two legs;
 //   * the remote layout additionally shows per-replica rpc spans AND
 //     shard-side child spans stitched in by the propagated trace id, with
 //     each shard span's parent being a coordinator rpc span;
@@ -137,15 +139,18 @@ JsonValue FetchTrace(const YaskService& service, const std::string& id) {
   return parsed.ok() ? parsed.value() : JsonValue();
 }
 
-/// The layout-independent span-name skeleton of a trace: engine-level
-/// stages only (transport spans — rpc, fan-out, shard endpoints — are
-/// remote-mode extras by design).
-std::multiset<std::string> Skeleton(const JsonValue& trace) {
+/// The span-name skeleton of a trace: engine-level stages, plus the top-k
+/// fan-out spans when `with_fanout` (multi-shard layouts record those; a
+/// single corpus has nothing to fan out). Transport spans — rpc, shard
+/// endpoints — are remote-mode extras by design.
+std::multiset<std::string> Skeleton(const JsonValue& trace,
+                                    bool with_fanout = false) {
   std::multiset<std::string> names;
   for (const JsonValue& span : trace.Get("spans").array_items()) {
     const std::string& name = span.Get("name").as_string();
     if (name.rfind("whynot/", 0) == 0 || name.rfind("kw/", 0) == 0 ||
-        name.rfind("query/", 0) == 0 || name.rfind("POST ", 0) == 0) {
+        name.rfind("query/", 0) == 0 || name.rfind("POST ", 0) == 0 ||
+        (with_fanout && name.rfind("topk/", 0) == 0)) {
       names.insert(name);
     }
   }
@@ -161,9 +166,13 @@ TEST(ObservabilityTest, PayloadParityAndSpanSkeletonAcrossLayouts) {
   ASSERT_TRUE(single.Start().ok());
   const Driven single_run = Drive(single);
 
-  // Layout 2: in-process sharded.
+  // Layout 2: in-process sharded. Its fan-out runs on a pool like the remote
+  // coordinator's (a pool-less corpus searches the legs sequentially and
+  // records no separate merge span).
+  CorpusOptions pooled;
+  pooled.fanout_threads = 2;
   const ShardedCorpus sharded =
-      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2), pooled);
   YaskService local(sharded);
   ASSERT_TRUE(local.Start().ok());
   const Driven local_run = Drive(local);
@@ -195,6 +204,15 @@ TEST(ObservabilityTest, PayloadParityAndSpanSkeletonAcrossLayouts) {
   EXPECT_EQ(skeleton.count("whynot/preference"), 1u);
   EXPECT_EQ(skeleton.count("whynot/keyword"), 1u);
   EXPECT_EQ(skeleton.count("whynot/refined_topk"), 1u);
+
+  // One fan-out, two legs: the in-process sharded and the remote layouts
+  // record the same top-k fan-out spans.
+  const auto fanout_skeleton = Skeleton(local_trace, /*with_fanout=*/true);
+  EXPECT_EQ(fanout_skeleton, Skeleton(remote_trace, /*with_fanout=*/true));
+  EXPECT_GT(fanout_skeleton.count("topk/fanout"), 0u);
+  EXPECT_EQ(fanout_skeleton.count("topk/fanout"),
+            fanout_skeleton.count("topk/merge"));
+  EXPECT_EQ(Skeleton(single_trace, /*with_fanout=*/true), skeleton);
 
   // The query trace carries the top-k stage in every layout.
   const JsonValue query_trace = FetchTrace(single, single_run.query_trace_id);

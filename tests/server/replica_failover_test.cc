@@ -283,7 +283,8 @@ TEST(ReplicaFailoverTest, PlaneSessionFailsOverMidSweep) {
         oracle.PrepareScorePlane(query, PrefAdjustMode::kOptimized);
     anchor = session->Anchor(missing);
     for (const double w : {0.3, 0.5, 0.7}) {
-      expected_counts.push_back(session->CountAbove(w, anchor, &stats));
+      expected_counts.push_back(
+          session->CountAboveBatch({w}, {anchor}, &stats)[0]);
     }
     session->CollectCrossings(anchor, 0.0, 1.0, &expected_events, &stats);
     std::sort(expected_events.begin(), expected_events.end());
@@ -293,12 +294,15 @@ TEST(ReplicaFailoverTest, PlaneSessionFailsOverMidSweep) {
   // that wherever each shard's session landed, at least one kill hits it
   // and forces a re-open + replay on the sibling.
   auto session = oracle.PrepareScorePlane(query, PrefAdjustMode::kOptimized);
-  EXPECT_EQ(session->CountAbove(0.3, anchor, &stats), expected_counts[0]);
+  EXPECT_EQ(session->CountAboveBatch({0.3}, {anchor}, &stats)[0],
+            expected_counts[0]);
   fleet.KillEverywhere(0);
-  EXPECT_EQ(session->CountAbove(0.5, anchor, &stats), expected_counts[1]);
+  EXPECT_EQ(session->CountAboveBatch({0.5}, {anchor}, &stats)[0],
+            expected_counts[1]);
   fleet.RestartEverywhere(0);
   fleet.KillEverywhere(1);
-  EXPECT_EQ(session->CountAbove(0.7, anchor, &stats), expected_counts[2]);
+  EXPECT_EQ(session->CountAboveBatch({0.7}, {anchor}, &stats)[0],
+            expected_counts[2]);
   std::vector<double> events;
   session->CollectCrossings(anchor, 0.0, 1.0, &events, &stats);
   std::sort(events.begin(), events.end());

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/corpus/corpus.h"
+#include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
 
 namespace yask {
@@ -215,6 +216,39 @@ TEST_F(WhyNotEngineTest, ErrorsPropagate) {
   const Query q = CarolQuery();
   EXPECT_FALSE(engine.Answer(q, {}).ok());
   EXPECT_FALSE(engine.Answer(q, {9999999}).ok());
+}
+
+// Regression: keyword adaption over a corpus built without its KcR-tree used
+// to dereference the missing tree (a segfault once NDEBUG compiled out the
+// only assert). It must answer FailedPrecondition; the preference model,
+// which needs no KcR-tree, keeps working on the same corpus.
+TEST(WhyNotEngineNoKcrTest, KeywordAdaptionWithoutKcrTreeIsAnError) {
+  DatasetSpec spec;
+  spec.num_objects = 2000;
+  CorpusOptions options;
+  options.build_kcr_tree = false;
+  const Corpus corpus = CorpusBuilder(options).Build(GenerateDataset(spec));
+  ASSERT_FALSE(corpus.has_kcr());
+  const WhyNotEngine engine(corpus);
+
+  Query q;
+  q.loc = corpus.store().Get(0).loc;
+  q.doc = corpus.store().Get(0).doc;
+  q.k = 5;
+  Query wide = q;
+  wide.k = 50;
+  const ObjectId missing = engine.TopK(wide).back().id;
+
+  auto answer = engine.Answer(q, {missing});
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kFailedPrecondition)
+      << answer.status().ToString();
+
+  WhyNotOptions preference_only;
+  preference_only.run_keyword_adaption = false;
+  auto pref = engine.Answer(q, {missing}, preference_only);
+  ASSERT_TRUE(pref.ok()) << pref.status().ToString();
+  EXPECT_TRUE(pref->preference.has_value());
 }
 
 }  // namespace
