@@ -17,6 +17,7 @@
 #include "bench/bench_util.h"
 #include "src/query/ranking.h"
 #include "src/whynot/explanation.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace bench {
@@ -25,7 +26,7 @@ namespace {
 void PrintVerdictDistribution() {
   const size_t n = 100000;
   const ObjectStore& store = SharedDataset(n);
-  const SetRTree& tree = SharedSetR(n);
+  const LocalWhyNotOracle oracle(SharedCorpus(n));
   Rng rng(41);
   std::map<MissingReason, size_t> verdicts;
   size_t trials = 0;
@@ -33,7 +34,7 @@ void PrintVerdictDistribution() {
     const Query q = MakeQuery(store, &rng, 3, 10);
     const ObjectId target =
         static_cast<ObjectId>(rng.NextBounded(store.size()));
-    auto result = ExplainMissing(store, tree, q, {target});
+    auto result = ExplainMissing(oracle, q, {target});
     if (!result.ok()) continue;
     ++verdicts[result->at(0).reason];
     ++trials;
@@ -52,12 +53,12 @@ void PrintVerdictDistribution() {
 void BM_ExplainMissing(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const ObjectStore& store = SharedDataset(n);
-  const SetRTree& tree = SharedSetR(n);
+  const LocalWhyNotOracle oracle(SharedCorpus(n));
   Rng rng(43);
   const Query q = MakeQuery(store, &rng, 3, 10);
   const std::vector<ObjectId> missing = PickMissing(store, q, 1, 10);
   for (auto _ : state) {
-    auto result = ExplainMissing(store, tree, q, missing);
+    auto result = ExplainMissing(oracle, q, missing);
     benchmark::DoNotOptimize(result);
   }
 }

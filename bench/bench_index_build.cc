@@ -1,12 +1,12 @@
 // Experiment E3 (DESIGN.md): index construction cost and footprint.
 //
-// Regenerates the index substrate comparison: STR bulk load versus repeated
-// insertion, for the plain R-tree, the SetR-tree and the KcR-tree, with the
-// per-index memory footprint as counters.
+// Regenerates the index substrate comparison: STR bulk load cost for the
+// plain R-tree, the SetR-tree and the KcR-tree (the only way the trees are
+// built: they are immutable afterwards), plus the inverted index of the E2
+// baseline, with the per-index memory footprint as counters.
 //
-// Expected shape: bulk load is several times faster than insertion; the
-// KcR-tree costs the most memory (keyword->count maps at every node), the
-// plain R-tree the least.
+// Expected shape: the KcR-tree costs the most memory (keyword->count maps at
+// every node), the plain R-tree the least.
 
 #include <benchmark/benchmark.h>
 
@@ -32,32 +32,12 @@ void BuildBulk(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(mem) / n);
 }
 
-template <typename Tree>
-void BuildInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const ObjectStore& store = SharedDataset(n);
-  for (auto _ : state) {
-    Tree tree(&store);
-    for (ObjectId id = 0; id < n; ++id) tree.Insert(id);
-    benchmark::DoNotOptimize(tree.root());
-  }
-}
-
 void BM_Build_RTree_Bulk(benchmark::State& state) { BuildBulk<RTree>(state); }
 void BM_Build_SetR_Bulk(benchmark::State& state) { BuildBulk<SetRTree>(state); }
 void BM_Build_KcR_Bulk(benchmark::State& state) { BuildBulk<KcRTree>(state); }
-void BM_Build_RTree_Insert(benchmark::State& state) {
-  BuildInsert<RTree>(state);
-}
-void BM_Build_SetR_Insert(benchmark::State& state) {
-  BuildInsert<SetRTree>(state);
-}
-
 BENCHMARK(BM_Build_RTree_Bulk)->ArgName("N")->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Build_SetR_Bulk)->ArgName("N")->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Build_KcR_Bulk)->ArgName("N")->Arg(10000)->Arg(100000);
-BENCHMARK(BM_Build_RTree_Insert)->ArgName("N")->Arg(10000)->Arg(50000);
-BENCHMARK(BM_Build_SetR_Insert)->ArgName("N")->Arg(10000);
 
 void BM_Build_InvertedIndex(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

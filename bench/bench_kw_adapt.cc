@@ -14,6 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "src/whynot/keyword_adaption.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace bench {
@@ -25,7 +26,7 @@ void RunAdapt(benchmark::State& state, KwAdaptMode mode) {
   const size_t m_count = static_cast<size_t>(state.range(2));
   const size_t query_keywords = static_cast<size_t>(state.range(3));
   const ObjectStore& store = SharedDataset(n);
-  const KcRTree& tree = SharedKcR(n);
+  const LocalWhyNotOracle oracle(SharedCorpus(n));
 
   Rng rng(11);
   std::vector<std::pair<Query, std::vector<ObjectId>>> workload;
@@ -49,7 +50,7 @@ void RunAdapt(benchmark::State& state, KwAdaptMode mode) {
   size_t runs = 0;
   for (auto _ : state) {
     const auto& [q, missing] = workload[i++ % workload.size()];
-    auto result = AdaptKeywords(store, tree, q, missing, options);
+    auto result = AdaptKeywords(oracle, q, missing, options);
     benchmark::DoNotOptimize(result);
     if (result.ok()) {
       penalty_sum += result->penalty.value;

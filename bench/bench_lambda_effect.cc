@@ -20,6 +20,7 @@
 #include "bench/bench_util.h"
 #include "src/whynot/keyword_adaption.h"
 #include "src/whynot/preference_adjustment.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace bench {
@@ -37,7 +38,7 @@ struct Row {
 
 Row MeasureLambda(double lambda) {
   const ObjectStore& store = SharedDataset(kN);
-  const KcRTree& kcr = SharedKcR(kN);
+  const LocalWhyNotOracle oracle(SharedCorpus(kN));
   Rng rng(23);
   Row row{lambda, 0, 0, 0, 0, 0, 0};
   size_t runs = 0;
@@ -48,10 +49,10 @@ Row MeasureLambda(double lambda) {
 
     PreferenceAdjustOptions po;
     po.lambda = lambda;
-    auto pref = AdjustPreference(store, q, missing, po);
+    auto pref = AdjustPreference(oracle, q, missing, po);
     KeywordAdaptOptions ko;
     ko.lambda = lambda;
-    auto kw = AdaptKeywords(store, kcr, q, missing, ko);
+    auto kw = AdaptKeywords(oracle, q, missing, ko);
     if (!pref.ok() || !kw.ok() || pref->already_in_result) continue;
 
     row.pref_penalty += pref->penalty.value;
@@ -93,13 +94,14 @@ void PrintLambdaTable() {
 void BM_LambdaSweep_Preference(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0)) / 10.0;
   const ObjectStore& store = SharedDataset(kN);
+  const LocalWhyNotOracle oracle(SharedCorpus(kN));
   Rng rng(29);
   Query q = MakeQuery(store, &rng, 3, kK);
   std::vector<ObjectId> missing = PickMissing(store, q, 1);
   PreferenceAdjustOptions options;
   options.lambda = lambda;
   for (auto _ : state) {
-    auto result = AdjustPreference(store, q, missing, options);
+    auto result = AdjustPreference(oracle, q, missing, options);
     benchmark::DoNotOptimize(result);
   }
 }

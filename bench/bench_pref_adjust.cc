@@ -13,6 +13,7 @@
 
 #include "bench/bench_util.h"
 #include "src/whynot/preference_adjustment.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace bench {
@@ -23,6 +24,7 @@ void RunAdjust(benchmark::State& state, PrefAdjustMode mode) {
   const uint32_t k = static_cast<uint32_t>(state.range(1));
   const size_t m_count = static_cast<size_t>(state.range(2));
   const ObjectStore& store = SharedDataset(n);
+  const LocalWhyNotOracle oracle(SharedCorpus(n));
 
   // Pre-generate a deterministic workload of (query, missing) pairs.
   Rng rng(7);
@@ -45,7 +47,7 @@ void RunAdjust(benchmark::State& state, PrefAdjustMode mode) {
   size_t runs = 0;
   for (auto _ : state) {
     const auto& [q, missing] = workload[i++ % workload.size()];
-    auto result = AdjustPreference(store, q, missing, options);
+    auto result = AdjustPreference(oracle, q, missing, options);
     benchmark::DoNotOptimize(result);
     if (result.ok()) {
       penalty_sum += result->penalty.value;

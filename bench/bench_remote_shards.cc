@@ -295,8 +295,7 @@ int main(int argc, char** argv) {
         run.exact = false;
         continue;
       }
-      auto local = AdaptKeywords(baseline.store(), baseline.kcr(), q.query,
-                                 q.missing);
+      auto local = AdaptKeywords(reference.oracle(), q.query, q.missing);
       if (!local.ok() || !SameRefinement(*rb, *local)) run.exact = false;
       // One fan-out per refinement level — the batching contract.
       if (rb->stats.probe_fanouts != rb->stats.refine_levels) {
@@ -335,8 +334,8 @@ int main(int argc, char** argv) {
         run.exact = false;
         continue;
       }
-      auto local = AdjustPreference(baseline.store(), q.query, q.missing,
-                                    perevent);
+      auto local =
+          AdjustPreference(reference.oracle(), q.query, q.missing, perevent);
       if (!local.ok() || !SamePreference(*rb, *local)) run.exact = false;
       if (rb_rt > rp_rt) run.sweep_gate = false;
     }

@@ -16,7 +16,6 @@
 
 #include "src/corpus/corpus.h"
 #include "src/index/inverted_index.h"
-#include "src/index/kcr_tree.h"
 #include "src/index/setr_tree.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
@@ -40,18 +39,17 @@ inline DatasetSpec SharedDatasetSpec(size_t n) {
   return spec;
 }
 
-/// The benchmark corpus family: the shared dataset plus its SetR-tree, as
-/// one owned Corpus. Heavier indexes (KcR-tree, plain R-tree, inverted) stay
-/// in their own lazy caches below so a bench only pays for what it uses.
+/// The benchmark corpus family: the shared dataset plus its SetR-tree and
+/// KcR-tree, as one owned Corpus (the why-not benches run a
+/// LocalWhyNotOracle over it). The E2 baseline indexes (plain R-tree,
+/// inverted index) stay in their own lazy caches below.
 inline const Corpus& SharedCorpus(size_t n) {
   static std::map<size_t, std::unique_ptr<Corpus>>* cache =
       new std::map<size_t, std::unique_ptr<Corpus>>();
   auto it = cache->find(n);
   if (it == cache->end()) {
-    CorpusOptions options;
-    options.build_kcr_tree = false;
     it = cache
-             ->emplace(n, std::make_unique<Corpus>(CorpusBuilder(options).Build(
+             ->emplace(n, std::make_unique<Corpus>(CorpusBuilder().Build(
                               GenerateDataset(SharedDatasetSpec(n)))))
              .first;
   }
@@ -63,18 +61,6 @@ inline const ObjectStore& SharedDataset(size_t n) {
 }
 
 inline const SetRTree& SharedSetR(size_t n) { return SharedCorpus(n).setr(); }
-
-inline const KcRTree& SharedKcR(size_t n) {
-  static std::map<size_t, std::unique_ptr<KcRTree>>* cache =
-      new std::map<size_t, std::unique_ptr<KcRTree>>();
-  auto it = cache->find(n);
-  if (it == cache->end()) {
-    auto tree = std::make_unique<KcRTree>(&SharedDataset(n));
-    tree->BulkLoad();
-    it = cache->emplace(n, std::move(tree)).first;
-  }
-  return *it->second;
-}
 
 inline const RTree& SharedRTree(size_t n) {
   static std::map<size_t, std::unique_ptr<RTree>>* cache =

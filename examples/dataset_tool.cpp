@@ -4,7 +4,7 @@
 //   dataset_tool hotels <out.tsv>                the 539-hotel demo dataset
 //   dataset_tool stats <file.tsv>                corpus statistics
 //   dataset_tool build-snapshot <in.tsv> <out.snap>   TSV -> binary snapshot
-//                                                (store + SetR/KcR/inverted)
+//                                                (store + SetR/KcR-tree)
 //   dataset_tool build-shards <in.tsv> <prefix> <shards>   TSV -> one
 //                                                snapshot file per shard
 //                                                (<prefix>.shard-<i>.snap)
@@ -106,10 +106,7 @@ int CmdBuildSnapshot(const std::string& in_path, const std::string& out_path) {
   if (!loaded.ok()) return Fail(loaded.status().ToString());
 
   Timer build_timer;
-  CorpusOptions options;
-  options.build_inverted_index = true;
-  const Corpus corpus =
-      CorpusBuilder(options).Build(std::move(loaded).value());
+  const Corpus corpus = CorpusBuilder().Build(std::move(loaded).value());
   const double build_ms = build_timer.ElapsedMillis();
 
   Timer save_timer;

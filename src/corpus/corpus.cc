@@ -6,8 +6,7 @@ namespace yask {
 
 Result<uint64_t> Corpus::Save(const std::string& path,
                               const ShardManifest* shard) const {
-  return WriteSnapshot(path, *store_, setr_.get(), kcr_.get(),
-                       inverted_.get(), shard);
+  return WriteSnapshot(path, *store_, setr_.get(), kcr_.get(), shard);
 }
 
 Corpus CorpusBuilder::Build(ObjectStore store) const {
@@ -20,9 +19,6 @@ Corpus CorpusBuilder::Build(ObjectStore store) const {
     corpus.kcr_ = std::make_unique<KcRTree>(corpus.store_.get(),
                                             options_.rtree);
     corpus.kcr_->BulkLoad();
-  }
-  if (options_.build_inverted_index) {
-    corpus.inverted_ = std::make_unique<InvertedIndex>(*corpus.store_);
   }
   return corpus;
 }
@@ -48,10 +44,6 @@ Result<Corpus> CorpusBuilder::FromSnapshot(
     corpus.kcr_ = std::make_unique<KcRTree>(corpus.store_.get(),
                                             options_.rtree);
     corpus.kcr_->BulkLoad();
-  }
-  corpus.inverted_ = std::move(bundle->inverted);
-  if (corpus.inverted_ == nullptr && options_.build_inverted_index) {
-    corpus.inverted_ = std::make_unique<InvertedIndex>(*corpus.store_);
   }
   if (manifest_out != nullptr) {
     *manifest_out = std::move(bundle->shard);

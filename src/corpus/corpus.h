@@ -3,12 +3,12 @@
 //
 // Before this layer existed, every binary that wanted to serve queries —
 // the server demo, each benchmark, the integration tests, YaskService —
-// hand-assembled the same five pieces (ObjectStore + Vocabulary + SetR-tree
-// + KcR-tree + inverted index) and wired them together with borrowed
-// references. A Corpus owns all of it: the store (which owns the shared
-// vocabulary) plus the indexes built over it, with stable addresses (the
-// store lives behind a unique_ptr, so moving a Corpus never invalidates the
-// trees' store pointers).
+// hand-assembled the same four pieces (ObjectStore + Vocabulary + SetR-tree
+// + KcR-tree) and wired them together with borrowed references. A Corpus
+// owns all of it: the store (which owns the shared vocabulary) plus the
+// indexes built over it, with stable addresses (the store lives behind a
+// unique_ptr, so moving a Corpus never invalidates the trees' store
+// pointers). The indexes are read-only once built.
 //
 // Build one with CorpusBuilder — from raw objects (bulk-loads the indexes)
 // or from a snapshot file (adopts the serialized arenas; missing indexes are
@@ -23,7 +23,6 @@
 #include <string>
 
 #include "src/common/status.h"
-#include "src/index/inverted_index.h"
 #include "src/index/kcr_tree.h"
 #include "src/index/setr_tree.h"
 #include "src/query/topk_engine.h"
@@ -35,9 +34,8 @@ namespace yask {
 /// What CorpusBuilder builds (and what Save() persists).
 struct CorpusOptions {
   /// The SetR-tree is mandatory (the top-k engine runs on it); the KcR-tree
-  /// powers keyword adaption and the inverted index the baseline engine.
+  /// powers keyword adaption.
   bool build_kcr_tree = true;
-  bool build_inverted_index = false;
   RTreeOptions rtree;
   /// Worker threads of the fan-out pool a ShardedCorpus built with these
   /// options owns (every ShardedWhyNotOracle over it shares that one pool;
@@ -64,10 +62,6 @@ class Corpus {
   /// Requires has_kcr().
   const KcRTree& kcr() const { return *kcr_; }
 
-  /// Null unless built with build_inverted_index or restored from a snapshot
-  /// that contained one.
-  const InvertedIndex* inverted() const { return inverted_.get(); }
-
   size_t size() const { return store_->size(); }
 
   /// A top-k engine over this corpus. The engine borrows; the corpus must
@@ -89,7 +83,6 @@ class Corpus {
   std::unique_ptr<ObjectStore> store_;
   std::unique_ptr<SetRTree> setr_;
   std::unique_ptr<KcRTree> kcr_;
-  std::unique_ptr<InvertedIndex> inverted_;
 };
 
 /// Builds Corpus instances from raw objects or snapshot files.

@@ -25,7 +25,6 @@ Result<ReshardReport> ReshardSnapshots(const std::string& in_prefix,
   // files lack; the output shards get fresh indexes per options.corpus.
   CorpusOptions load_options;
   load_options.build_kcr_tree = false;
-  load_options.build_inverted_index = false;
   Result<ShardedCorpus> loaded = ShardedCorpus::Load(in_prefix, load_options);
   if (!loaded.ok()) {
     return Status(loaded.status().code(),

@@ -10,7 +10,7 @@ std::vector<std::unique_ptr<ShardLeg>> ShardLegs(const ShardedCorpus& corpus) {
   for (size_t s = 0; s < corpus.num_shards(); ++s) {
     const Corpus& shard = corpus.shard(s);
     legs.push_back(std::make_unique<LocalShardLeg>(
-        OracleShardView{&shard.store(), &shard.setr(),
+        OracleShardView{shard.store(), shard.setr(),
                         shard.has_kcr() ? &shard.kcr() : nullptr,
                         &corpus.shard_global_ids(s)},
         corpus.dist_norm()));

@@ -123,43 +123,6 @@ TopKResult SetRTopKEngine::Query(const ::yask::Query& query,
   return result;
 }
 
-TopKCursor::TopKCursor(const ObjectStore& store, const SetRTree& tree,
-                       ::yask::Query query)
-    : store_(&store),
-      tree_(&tree),
-      query_(std::move(query)),
-      scorer_(store, query_) {
-  if (!tree_->empty()) {
-    const auto& root = tree_->node(tree_->root());
-    pq_.push(HeapEntry{UpperBoundScore(scorer_, root.rect, root.summary),
-                       false, tree_->root()});
-  }
-}
-
-std::optional<ScoredObject> TopKCursor::Next() {
-  while (!pq_.empty()) {
-    const HeapEntry top = pq_.top();
-    pq_.pop();
-    if (top.is_object) {
-      ++produced_;
-      return ScoredObject{top.id, top.key};
-    }
-    const auto& node = tree_->node(top.id);
-    if (node.is_leaf) {
-      for (const auto& e : node.entries) {
-        pq_.push(HeapEntry{scorer_.Score(e.id), true, e.id});
-      }
-    } else {
-      for (const auto& e : node.entries) {
-        const auto& child = tree_->node(e.id);
-        pq_.push(HeapEntry{UpperBoundScore(scorer_, child.rect, child.summary),
-                           false, e.id});
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 TopKResult InvertedTopKEngine::Query(const ::yask::Query& query,
                                      TopKStats* stats) const {
   Scorer scorer(*store_, query);

@@ -17,8 +17,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <optional>
-#include <queue>
 
 #include "src/common/status.h"
 #include "src/index/inverted_index.h"
@@ -82,54 +80,6 @@ class SetRTopKEngine {
   const SetRTree* tree_;
   SetRBoundVariant variant_ = SetRBoundVariant::kLengthTightened;
   double dist_norm_ = -1.0;  // < 0: use the store's own diagonal.
-};
-
-/// A resumable best-first top-k enumeration: yields objects in exact rank
-/// order one at a time, preserving the search frontier between calls.
-///
-/// This is the natural engine primitive behind the why-not models'
-/// k-enlargement: when a refined query only grows k (the pure-k refinement,
-/// or the ∆k part of Eqns. (3)/(4)), the demo can continue the original
-/// search instead of re-running it from scratch. Query.k is ignored — the
-/// cursor is unbounded and stops only when the corpus is exhausted.
-///
-/// Not copyable/movable (the internal scorer points at the owned query).
-class TopKCursor {
- public:
-  TopKCursor(const ObjectStore& store, const SetRTree& tree, Query query);
-
-  TopKCursor(const TopKCursor&) = delete;
-  TopKCursor& operator=(const TopKCursor&) = delete;
-
-  /// The next object in rank order, or nullopt when exhausted. The n-th call
-  /// returns exactly the rank-n object of the full ranking (D6 order).
-  std::optional<ScoredObject> Next();
-
-  /// Objects yielded so far (== the rank of the last yielded object).
-  size_t produced() const { return produced_; }
-
-  const Query& query() const { return query_; }
-
- private:
-  struct HeapEntry {
-    double key = 0.0;
-    bool is_object = false;
-    uint32_t id = 0;
-
-    bool operator<(const HeapEntry& other) const {
-      if (key != other.key) return key < other.key;
-      if (is_object != other.is_object) return is_object;
-      if (is_object) return id > other.id;
-      return id < other.id;
-    }
-  };
-
-  const ObjectStore* store_;
-  const SetRTree* tree_;
-  Query query_;
-  Scorer scorer_;
-  std::priority_queue<HeapEntry> pq_;
-  size_t produced_ = 0;
 };
 
 /// Baseline engine: inverted index for the textual side plus a best-first

@@ -95,7 +95,7 @@ ShardService::ShardService(const Corpus& corpus, Info info,
                            ShardServiceOptions options)
     : corpus_(&corpus),
       info_(std::move(info)),
-      leg_(OracleShardView{&corpus.store(), &corpus.setr(),
+      leg_(OracleShardView{corpus.store(), corpus.setr(),
                            corpus.has_kcr() ? &corpus.kcr() : nullptr,
                            info_.to_global.empty() ? nullptr
                                                    : &info_.to_global},

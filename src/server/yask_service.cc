@@ -820,7 +820,9 @@ HttpResponse YaskService::HandleWhyNot(const HttpRequest& req) {
   const Query& q = *cached;
 
   std::vector<ObjectId> missing;
-  for (const JsonValue& v : in.Get("missing").array_items()) {
+  const auto& entries = in.Get("missing").array_items();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const JsonValue& v = entries[i];
     if (v.is_number()) {
       uint32_t id = 0;
       if (!ToUint32(v.as_number(), &id)) {
@@ -833,6 +835,10 @@ HttpResponse YaskService::HandleWhyNot(const HttpRequest& req) {
         return HttpResponse::Error(404, "no object named " + v.as_string());
       }
       missing.push_back(id);
+    } else {
+      return HttpResponse::Error(
+          400, "missing[" + std::to_string(i) + "] = " + v.Dump() +
+                   " is neither an object id nor an object name");
     }
   }
 
@@ -871,6 +877,10 @@ HttpResponse YaskService::ComputeWhyNot(const Query& q,
     auto combined = Engine().CombineRefinements(q, missing, options);
     const double millis = timer.ElapsedMillis();
     if (!combined.ok()) {
+      // A dead fleet fails the engine too; report the outage, not the input.
+      if (auto failure = RemoteFailure(epoch); failure.has_value()) {
+        return *failure;
+      }
       return HttpResponse::Error(400, combined.status().ToString());
     }
     JsonValue out = JsonValue::MakeObject();
@@ -906,6 +916,9 @@ HttpResponse YaskService::ComputeWhyNot(const Query& q,
   auto answer = Engine().Answer(q, missing, options);
   const double millis = timer.ElapsedMillis();
   if (!answer.ok()) {
+    if (auto failure = RemoteFailure(epoch); failure.has_value()) {
+      return *failure;
+    }
     return HttpResponse::Error(400, answer.status().ToString());
   }
   const WhyNotAnswer& a = answer.value();

@@ -209,42 +209,6 @@ Status LoadObjectStore(BufReader* in, ObjectStore* store) {
   return ReaderStatus(*in);
 }
 
-// --- InvertedIndex -----------------------------------------------------------
-// Payload: varu64 term_count | term_count x delta-ids posting list.
-
-void SaveInvertedIndex(const InvertedIndex& index, BufWriter* out) {
-  out->PutVarU64(index.postings().size());
-  for (const std::vector<ObjectId>& list : index.postings()) {
-    out->PutDeltaIds(list);
-  }
-}
-
-Result<InvertedIndex> LoadInvertedIndex(BufReader* in, size_t vocab_size,
-                                        size_t object_count) {
-  const uint64_t term_count = in->GetVarU64();
-  if (!in->CheckCount(term_count)) return ReaderStatus(*in);
-  if (term_count > vocab_size) {
-    return Status::InvalidArgument(
-        "snapshot decode: inverted index covers " +
-        std::to_string(term_count) + " terms but the vocabulary has " +
-        std::to_string(vocab_size));
-  }
-  std::vector<std::vector<ObjectId>> postings(
-      static_cast<size_t>(term_count));
-  for (uint64_t t = 0; t < term_count; ++t) {
-    postings[t] = in->GetDeltaIds();
-    if (!in->ok()) return ReaderStatus(*in);
-    if (!postings[t].empty() && postings[t].back() >= object_count) {
-      return Status::InvalidArgument(
-          "snapshot decode: posting references object " +
-          std::to_string(postings[t].back()) + " outside store of " +
-          std::to_string(object_count));
-    }
-  }
-  if (!in->ok()) return ReaderStatus(*in);
-  return InvertedIndex::FromPostings(std::move(postings));
-}
-
 // --- R-tree summaries --------------------------------------------------------
 
 namespace {
@@ -568,14 +532,10 @@ Result<ShardManifest> LoadShardManifest(BufReader* in) {
 Result<uint64_t> WriteSnapshot(const std::string& path,
                                const ObjectStore& store, const SetRTree* setr,
                                const KcRTree* kcr,
-                               const InvertedIndex* inverted,
                                const ShardManifest* shard) {
   SnapshotWriter writer;
   SaveVocabulary(store.vocab(), writer.AddSection(SectionId::kVocabulary));
   SaveObjectStore(store, writer.AddSection(SectionId::kObjectStore));
-  if (inverted != nullptr) {
-    SaveInvertedIndex(*inverted, writer.AddSection(SectionId::kInvertedIndex));
-  }
   if (setr != nullptr) {
     SaveSetRTree(*setr, writer.AddSection(SectionId::kSetRTree));
   }
@@ -617,9 +577,10 @@ Result<SnapshotBundle> LoadSnapshot(const std::string& path) {
   }
 
   // The index sections only read the (now immutable) store, so decode them
-  // concurrently — on a restart the three decodes overlap, and the cold
-  // start is bounded by the store plus the slowest single index.
-  Status setr_status, kcr_status, inverted_status;
+  // concurrently — on a restart the two decodes overlap, and the cold start
+  // is bounded by the store plus the slower index. An inverted_index section
+  // (section id 3, written by older builds) is never opened.
+  Status setr_status, kcr_status;
   std::vector<std::thread> loaders;
   if (reader->Has(SectionId::kSetRTree)) {
     bundle.setr = std::make_unique<SetRTree>(bundle.store.get());
@@ -639,26 +600,8 @@ Result<SnapshotBundle> LoadSnapshot(const std::string& path) {
                        : section.status();
     });
   }
-  if (reader->Has(SectionId::kInvertedIndex)) {
-    loaders.emplace_back([&reader, &bundle, &vocab, &inverted_status] {
-      Result<BufReader> section =
-          reader->OpenSection(SectionId::kInvertedIndex);
-      if (!section.ok()) {
-        inverted_status = section.status();
-        return;
-      }
-      Result<InvertedIndex> index = LoadInvertedIndex(
-          &section.value(), vocab->size(), bundle.store->size());
-      if (!index.ok()) {
-        inverted_status = index.status();
-        return;
-      }
-      bundle.inverted =
-          std::make_unique<InvertedIndex>(std::move(index).value());
-    });
-  }
   for (std::thread& t : loaders) t.join();
-  for (const Status* s : {&setr_status, &kcr_status, &inverted_status}) {
+  for (const Status* s : {&setr_status, &kcr_status}) {
     if (!s->ok()) return *s;
   }
 

@@ -2,9 +2,9 @@
 // Per-component Save/Load codecs plus the whole-server bundle API.
 //
 // A snapshot captures the server's warm state — the object table D, the
-// shared Vocabulary, and the SetR-tree / KcR-tree / inverted index built
-// over it — so a restarting process (or a new replica) loads it in one
-// sequential pass instead of re-interning, re-sorting and re-summarising.
+// shared Vocabulary, and the SetR-tree / KcR-tree built over it — so a
+// restarting process (or a new replica) loads it in one sequential pass
+// instead of re-interning, re-sorting and re-summarising.
 //
 // Sharing discipline: the vocabulary is serialised exactly once (its own
 // section); LoadSnapshot() deserialises it first and hands the *same*
@@ -28,7 +28,6 @@
 #include "src/common/geometry.h"
 #include "src/common/status.h"
 #include "src/common/vocabulary.h"
-#include "src/index/inverted_index.h"
 #include "src/index/kcr_tree.h"
 #include "src/index/setr_tree.h"
 #include "src/snapshot/snapshot_io.h"
@@ -49,10 +48,6 @@ Status LoadVocabulary(BufReader* in, Vocabulary* vocab);
 /// vocabulary (that is the no-re-interning guarantee).
 void SaveObjectStore(const ObjectStore& store, BufWriter* out);
 Status LoadObjectStore(BufReader* in, ObjectStore* store);
-
-void SaveInvertedIndex(const InvertedIndex& index, BufWriter* out);
-Result<InvertedIndex> LoadInvertedIndex(BufReader* in, size_t vocab_size,
-                                        size_t object_count);
 
 /// The tree passed to a loader must be freshly constructed over the restored
 /// store; its arena is replaced wholesale (RTreeT::AdoptArena).
@@ -91,7 +86,6 @@ struct SnapshotBundle {
   std::unique_ptr<ObjectStore> store;
   std::unique_ptr<SetRTree> setr;
   std::unique_ptr<KcRTree> kcr;
-  std::unique_ptr<InvertedIndex> inverted;
   /// Non-null only for per-shard snapshot files.
   std::unique_ptr<ShardManifest> shard;
 };
@@ -103,11 +97,11 @@ Result<uint64_t> WriteSnapshot(const std::string& path,
                                const ObjectStore& store,
                                const SetRTree* setr = nullptr,
                                const KcRTree* kcr = nullptr,
-                               const InvertedIndex* inverted = nullptr,
                                const ShardManifest* shard = nullptr);
 
 /// Loads a snapshot written by WriteSnapshot. Bundle members for indexes the
 /// file does not contain are left null; store and vocabulary are mandatory.
+/// An inverted_index section (written by older builds) is skipped unread.
 Result<SnapshotBundle> LoadSnapshot(const std::string& path);
 
 // --- Inspection --------------------------------------------------------------

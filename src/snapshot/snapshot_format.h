@@ -34,6 +34,7 @@ inline constexpr uint32_t kSnapshotFormatVersion = 1;
 enum class SectionId : uint32_t {
   kVocabulary = 1,
   kObjectStore = 2,
+  /// Written by older builds only; reserved, and skipped on read.
   kInvertedIndex = 3,
   kSetRTree = 4,
   kKcRTree = 5,

@@ -115,9 +115,12 @@ Result<std::vector<MissingObjectExplanation>> ExplainMissing(
 
   const double dist_norm = oracle.dist_norm();
   const TopKResult topk = oracle.TopK(query);
-  // The current k-th result frames the comparison; an empty result (k = 0 or
-  // empty store) cannot happen here because Validate() requires k >= 1 and
-  // missing ids exist.
+  // The current k-th result frames the comparison. Validate() requires
+  // k >= 1 and the missing ids exist, so a healthy corpus never answers an
+  // empty top-k; a remote layout whose every shard is unreachable does.
+  if (topk.empty()) {
+    return Status::Unavailable("the top-k frontier is unavailable");
+  }
   const ScoredObject kth = topk.back();
   const ObjectScoreParts kth_parts =
       ScorePartsOf(query, dist_norm, oracle.Object(kth.id));
@@ -162,13 +165,6 @@ Result<std::vector<MissingObjectExplanation>> ExplainMissing(
     out.push_back(std::move(e));
   }
   return out;
-}
-
-Result<std::vector<MissingObjectExplanation>> ExplainMissing(
-    const ObjectStore& store, const SetRTree& tree, const Query& query,
-    const std::vector<ObjectId>& missing) {
-  const LocalWhyNotOracle oracle(store, &tree, /*kcr=*/nullptr);
-  return ExplainMissing(oracle, query, missing);
 }
 
 }  // namespace yask

@@ -419,12 +419,4 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   return out;
 }
 
-Result<RefinedKeywordQuery> AdaptKeywords(
-    const ObjectStore& store, const KcRTree& tree, const Query& query,
-    const std::vector<ObjectId>& missing,
-    const KeywordAdaptOptions& options) {
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr, &tree);
-  return AdaptKeywords(oracle, query, missing, options);
-}
-
 }  // namespace yask

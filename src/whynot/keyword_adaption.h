@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/index/kcr_tree.h"
 #include "src/query/query.h"
 #include "src/storage/object_store.h"
 #include "src/whynot/penalty.h"
@@ -104,12 +103,6 @@ struct RefinedKeywordQuery {
 /// keyword ids — is bit-identical across layouts.
 Result<RefinedKeywordQuery> AdaptKeywords(
     const WhyNotOracle& oracle, const Query& query,
-    const std::vector<ObjectId>& missing,
-    const KeywordAdaptOptions& options = {});
-
-/// Solves Definition 3 over a KcR-tree built on `store`.
-Result<RefinedKeywordQuery> AdaptKeywords(
-    const ObjectStore& store, const KcRTree& tree, const Query& query,
     const std::vector<ObjectId>& missing,
     const KeywordAdaptOptions& options = {});
 

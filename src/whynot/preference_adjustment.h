@@ -116,15 +116,9 @@ std::vector<PlanePoint> BuildPlanePoints(const ObjectStore& store,
 /// Solves Definition 2 over any corpus layout behind the oracle seam. The
 /// search is layout-independent: every candidate weight's rank is an exact
 /// partition-sum, so the refinement is bit-identical across layouts.
+/// Errors: invalid query, empty/duplicate-only/unknown missing ids.
 Result<RefinedPreferenceQuery> AdjustPreference(
     const WhyNotOracle& oracle, const Query& query,
-    const std::vector<ObjectId>& missing,
-    const PreferenceAdjustOptions& options = {});
-
-/// Solves Definition 2 over one unsharded store. Errors: invalid query,
-/// empty/duplicate-only/unknown missing ids.
-Result<RefinedPreferenceQuery> AdjustPreference(
-    const ObjectStore& store, const Query& query,
     const std::vector<ObjectId>& missing,
     const PreferenceAdjustOptions& options = {});
 

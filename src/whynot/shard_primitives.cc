@@ -27,7 +27,7 @@ void AppendCrossingWeight(const PlanePoint& m, const PlanePoint& p, double wlo,
 size_t ShardScanOutscoring(const OracleShardView& view, const Scorer& scorer,
                            double target_score, ObjectId target_global) {
   size_t above = 0;
-  for (const SpatialObject& o : view.store->objects()) {
+  for (const SpatialObject& o : view.store.objects()) {
     const ObjectId gid =
         view.to_global != nullptr ? (*view.to_global)[o.id] : o.id;
     if (gid == target_global) continue;
@@ -44,7 +44,7 @@ ShardPlane::ShardPlane(const OracleShardView& view, const Query& query,
                        double dist_norm, bool optimized)
     : optimized_(optimized) {
   std::vector<PlanePoint> pts =
-      BuildPlanePoints(*view.store, query, dist_norm, view.to_global);
+      BuildPlanePoints(view.store, query, dist_norm, view.to_global);
   if (optimized_) {
     index_ = std::make_unique<ScorePlaneIndex>(std::move(pts));
   } else {
@@ -170,7 +170,7 @@ class LocalProbes : public LegProbes {
     for (size_t i = 0; i < specs.size(); ++i) {
       auto member = std::make_unique<Member>();
       member->query = *specs[i].query;
-      member->scorer.emplace(*view.store, member->query, dist_norm);
+      member->scorer.emplace(view.store, member->query, dist_norm);
       member->refiner.emplace(view, *member->scorer, specs[i].target,
                               target_scores[i], &work_);
       members_.push_back(std::move(member));
@@ -205,22 +205,18 @@ class LocalProbes : public LegProbes {
 }  // namespace
 
 LocalShardLeg::LocalShardLeg(const OracleShardView& view, double dist_norm)
-    : view_(view), dist_norm_(dist_norm) {
-  if (view_.setr != nullptr) {
-    topk_.emplace(*view_.store, *view_.setr);
-    topk_->set_dist_norm(dist_norm_);
-  }
+    : view_(view), dist_norm_(dist_norm), topk_(view.store, view.setr) {
+  topk_.set_dist_norm(dist_norm_);
 }
 
 std::optional<Rect> LocalShardLeg::root_mbr() const {
-  if (view_.setr == nullptr || view_.setr->empty()) return std::nullopt;
-  return view_.setr->node(view_.setr->root()).rect;
+  if (view_.setr.empty()) return std::nullopt;
+  return view_.setr.node(view_.setr.root()).rect;
 }
 
 TopKResult LocalShardLeg::TopK(const Query& query, double prune_below,
                                TopKStats* stats) const {
-  assert(topk_.has_value() && "TopK requires the SetR-tree");
-  TopKResult rows = topk_->Query(query, prune_below, stats);
+  TopKResult rows = topk_.Query(query, prune_below, stats);
   if (view_.to_global != nullptr) {
     for (ScoredObject& row : rows) row.id = (*view_.to_global)[row.id];
   }
@@ -232,13 +228,12 @@ std::vector<size_t> LocalShardLeg::Count(
     const std::vector<double>& target_scores, CountMethod method) const {
   std::vector<size_t> counts(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
-    const Scorer scorer(*view_.store, *specs[i].query, dist_norm_);
+    const Scorer scorer(view_.store, *specs[i].query, dist_norm_);
     if (method == CountMethod::kScan) {
       counts[i] = ShardScanOutscoring(view_, scorer, target_scores[i],
                                       specs[i].target);
     } else {
-      assert(view_.setr != nullptr && "SetR counts require the SetR-tree");
-      counts[i] = CountOutscoring(*view_.store, *view_.setr, scorer,
+      counts[i] = CountOutscoring(view_.store, view_.setr, scorer,
                                   target_scores[i], specs[i].target,
                                   view_.to_global);
     }

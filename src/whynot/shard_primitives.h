@@ -36,9 +36,9 @@ namespace yask {
 /// One shard's data. `to_global` maps the shard store's local ids to global
 /// ids (null = ids are already global, i.e. the unsharded layout).
 struct OracleShardView {
-  const ObjectStore* store = nullptr;
-  const SetRTree* setr = nullptr;  // Null only where TopK/Rank are unused.
-  const KcRTree* kcr = nullptr;    // Null only where probes are unused.
+  const ObjectStore& store;
+  const SetRTree& setr;
+  const KcRTree* kcr = nullptr;  // Null when the shard has no KcR-tree.
   const std::vector<ObjectId>* to_global = nullptr;
 };
 
@@ -118,7 +118,7 @@ class LocalShardLeg : public ShardLeg {
  public:
   LocalShardLeg(const OracleShardView& view, double dist_norm);
 
-  size_t size() const override { return view_.store->size(); }
+  size_t size() const override { return view_.store.size(); }
   bool has_kcr() const override { return view_.kcr != nullptr; }
   std::optional<Rect> root_mbr() const override;
   TopKResult TopK(const Query& query, double prune_below,
@@ -135,7 +135,7 @@ class LocalShardLeg : public ShardLeg {
  private:
   OracleShardView view_;
   double dist_norm_;
-  std::optional<SetRTopKEngine> topk_;  // Engaged when the SetR-tree is.
+  SetRTopKEngine topk_;
 };
 
 }  // namespace yask

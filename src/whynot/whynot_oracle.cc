@@ -313,27 +313,21 @@ std::unique_ptr<RankProbeBatch> WhyNotOracle::ProbeRankBatch(
 
 namespace {
 
-std::vector<std::unique_ptr<ShardLeg>> OneLeg(const ObjectStore& store,
-                                              const SetRTree* setr,
-                                              const KcRTree* kcr) {
+std::vector<std::unique_ptr<ShardLeg>> OneLeg(const Corpus& corpus) {
   std::vector<std::unique_ptr<ShardLeg>> legs;
   legs.push_back(std::make_unique<LocalShardLeg>(
-      OracleShardView{&store, setr, kcr, nullptr}, store.BoundsDiagonal()));
+      OracleShardView{corpus.store(), corpus.setr(),
+                      corpus.has_kcr() ? &corpus.kcr() : nullptr},
+      corpus.store().BoundsDiagonal()));
   return legs;
 }
 
 }  // namespace
 
-LocalWhyNotOracle::LocalWhyNotOracle(const ObjectStore& store,
-                                     const SetRTree* setr, const KcRTree* kcr)
-    : WhyNotOracle(OneLeg(store, setr, kcr), /*pool=*/nullptr,
-                   store.BoundsDiagonal(),
-                   [&store](ObjectId id) -> const SpatialObject& {
-                     return store.Get(id);
-                   }) {}
-
 LocalWhyNotOracle::LocalWhyNotOracle(const Corpus& corpus)
-    : LocalWhyNotOracle(corpus.store(), &corpus.setr(),
-                        corpus.has_kcr() ? &corpus.kcr() : nullptr) {}
+    : WhyNotOracle(OneLeg(corpus), /*pool=*/nullptr,
+                   corpus.store().BoundsDiagonal(),
+                   [&store = corpus.store()](ObjectId id)
+                       -> const SpatialObject& { return store.Get(id); }) {}
 
 }  // namespace yask

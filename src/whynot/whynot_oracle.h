@@ -233,15 +233,10 @@ class WhyNotOracle {
   std::vector<double>* shard_busy_ms_ = nullptr;
 };
 
-/// The oracle over one unsharded store — one local leg, no pool.
-/// Null `setr` / `kcr` are allowed for callers that never touch the methods
-/// needing them (the store-level module entry points pass only what they
-/// have).
+/// The oracle over one unsharded corpus — one local leg, no pool.
+/// ProbeRankBatch needs corpus.has_kcr().
 class LocalWhyNotOracle : public WhyNotOracle {
  public:
-  LocalWhyNotOracle(const ObjectStore& store, const SetRTree* setr,
-                    const KcRTree* kcr);
-  /// Over a full corpus (ProbeRankBatch needs corpus.has_kcr()).
   explicit LocalWhyNotOracle(const Corpus& corpus);
 };
 

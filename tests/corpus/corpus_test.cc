@@ -37,7 +37,6 @@ TEST(CorpusTest, BuildOwnsStoreAndIndexes) {
   EXPECT_EQ(corpus.setr().size(), 500u);
   ASSERT_TRUE(corpus.has_kcr());
   EXPECT_EQ(corpus.kcr().size(), 500u);
-  EXPECT_EQ(corpus.inverted(), nullptr);  // Off by default.
   EXPECT_TRUE(corpus.setr().Validate().ok());
   EXPECT_TRUE(corpus.kcr().Validate().ok());
 
@@ -48,11 +47,9 @@ TEST(CorpusTest, BuildOwnsStoreAndIndexes) {
 TEST(CorpusTest, OptionsControlOptionalIndexes) {
   CorpusOptions options;
   options.build_kcr_tree = false;
-  options.build_inverted_index = true;
   const Corpus corpus = CorpusBuilder(options).Build(SmallDataset());
   EXPECT_FALSE(corpus.has_kcr());
-  ASSERT_NE(corpus.inverted(), nullptr);
-  EXPECT_EQ(corpus.inverted()->postings().size(), corpus.vocab().size());
+  EXPECT_EQ(corpus.setr().size(), corpus.size());
 }
 
 TEST(CorpusTest, MoveKeepsIndexStorePointersValid) {
@@ -66,9 +63,7 @@ TEST(CorpusTest, MoveKeepsIndexStorePointersValid) {
 
 TEST(CorpusTest, SnapshotRoundTripReproducesResults) {
   const std::string path = ::testing::TempDir() + "corpus_roundtrip.snap";
-  CorpusOptions options;
-  options.build_inverted_index = true;
-  const Corpus original = CorpusBuilder(options).Build(SmallDataset());
+  const Corpus original = CorpusBuilder().Build(SmallDataset());
   auto bytes = original.Save(path);
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
   EXPECT_GT(*bytes, 0u);
@@ -77,7 +72,6 @@ TEST(CorpusTest, SnapshotRoundTripReproducesResults) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->size(), original.size());
   EXPECT_TRUE(restored->has_kcr());
-  ASSERT_NE(restored->inverted(), nullptr);
   EXPECT_TRUE(restored->setr().Validate().ok());
 
   const Query q = SomeQuery(original.store());

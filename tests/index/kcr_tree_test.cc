@@ -113,16 +113,6 @@ TEST(KcRTreeTest, BulkLoadValidates) {
   EXPECT_EQ(tree.node(tree.root()).summary.cnt, 2500u);
 }
 
-TEST(KcRTreeTest, InsertDeleteKeepSummaries) {
-  const ObjectStore store = MakeStore(500, 5);
-  KcRTree tree(&store);
-  for (ObjectId id = 0; id < 500; ++id) tree.Insert(id);
-  ASSERT_TRUE(tree.Validate().ok());
-  for (ObjectId id = 0; id < 500; id += 5) ASSERT_TRUE(tree.Delete(id));
-  Status s = tree.Validate();
-  ASSERT_TRUE(s.ok()) << s.ToString();
-}
-
 // The central contract for keyword adaption: BoundOutscoringCount must
 // bracket the true tie-free count of outscoring objects in every node, for
 // random queries and thresholds.

@@ -74,17 +74,6 @@ TEST(RTreeTest, BulkLoadHeightGrowsLogarithmically) {
   EXPECT_LE(tree.height(), 4u);
 }
 
-TEST(RTreeTest, InsertValidates) {
-  const ObjectStore store = MakeStore(1000);
-  RTree tree(&store);
-  for (size_t i = 0; i < store.size(); ++i) {
-    tree.Insert(static_cast<ObjectId>(i));
-  }
-  EXPECT_EQ(tree.size(), 1000u);
-  Status s = tree.Validate();
-  ASSERT_TRUE(s.ok()) << s.ToString();
-}
-
 TEST(RTreeTest, RangeQueryMatchesBruteForceAfterBulkLoad) {
   const ObjectStore store = MakeStore(3000, 7, SpatialDistribution::kClustered);
   RTree tree(&store);
@@ -98,65 +87,6 @@ TEST(RTreeTest, RangeQueryMatchesBruteForceAfterBulkLoad) {
         std::min(1.0, y + rng.NextDouble(0, 0.3)));
     EXPECT_EQ(TreeRange(tree, range), BruteRange(store, range));
   }
-}
-
-TEST(RTreeTest, RangeQueryMatchesBruteForceAfterInserts) {
-  const ObjectStore store = MakeStore(2000, 11);
-  RTree tree(&store);
-  for (size_t i = 0; i < store.size(); ++i) {
-    tree.Insert(static_cast<ObjectId>(i));
-  }
-  Rng rng(123);
-  for (int i = 0; i < 50; ++i) {
-    const double x = rng.NextDouble(0, 0.8);
-    const double y = rng.NextDouble(0, 0.8);
-    const Rect range = Rect::FromBounds(x, y, x + 0.2, y + 0.2);
-    EXPECT_EQ(TreeRange(tree, range), BruteRange(store, range));
-  }
-}
-
-TEST(RTreeTest, DeleteRemovesAndValidates) {
-  const ObjectStore store = MakeStore(500, 3);
-  RTree tree(&store);
-  tree.BulkLoad();
-  // Delete every third object.
-  std::set<ObjectId> deleted;
-  for (ObjectId id = 0; id < 500; id += 3) {
-    EXPECT_TRUE(tree.Delete(id)) << id;
-    deleted.insert(id);
-  }
-  EXPECT_EQ(tree.size(), 500u - deleted.size());
-  Status s = tree.Validate();
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  // Deleted objects are gone; others remain findable.
-  const Rect everywhere = Rect::FromBounds(-1, -1, 2, 2);
-  const std::set<ObjectId> remaining = TreeRange(tree, everywhere);
-  EXPECT_EQ(remaining.size(), tree.size());
-  for (ObjectId id : deleted) EXPECT_FALSE(remaining.count(id));
-}
-
-TEST(RTreeTest, DeleteMissingReturnsFalse) {
-  const ObjectStore store = MakeStore(100);
-  RTree tree(&store);
-  tree.BulkLoad();
-  EXPECT_TRUE(tree.Delete(42));
-  EXPECT_FALSE(tree.Delete(42));
-  EXPECT_TRUE(tree.Validate().ok());
-}
-
-TEST(RTreeTest, DeleteEverything) {
-  const ObjectStore store = MakeStore(300, 5);
-  RTree tree(&store);
-  tree.BulkLoad();
-  for (ObjectId id = 0; id < 300; ++id) {
-    ASSERT_TRUE(tree.Delete(id)) << id;
-  }
-  EXPECT_TRUE(tree.empty());
-  EXPECT_TRUE(tree.Validate().ok());
-  // Tree stays usable afterwards.
-  tree.Insert(7);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_TRUE(tree.Validate().ok());
 }
 
 TEST(RTreeTest, TraverseVisitsEverythingWhenUnfiltered) {
@@ -203,38 +133,6 @@ TEST(RTreeTest, CustomFanoutRespected) {
   EXPECT_TRUE(tree.Validate().ok());
   EXPECT_GE(tree.height(), 3u);  // Smaller fanout means a taller tree.
 }
-
-// Mixed workload property test: interleaved inserts and deletes keep all
-// invariants and match a std::set reference for membership.
-class RTreeMixedWorkload : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RTreeMixedWorkload, InvariantsUnderChurn) {
-  const ObjectStore store = MakeStore(1200, GetParam());
-  RTree tree(&store);
-  std::set<ObjectId> reference;
-  Rng rng(GetParam() ^ 0xFEED);
-  for (int step = 0; step < 3000; ++step) {
-    const ObjectId id = static_cast<ObjectId>(rng.NextBounded(store.size()));
-    if (reference.count(id)) {
-      EXPECT_TRUE(tree.Delete(id));
-      reference.erase(id);
-    } else {
-      tree.Insert(id);
-      reference.insert(id);
-    }
-    if (step % 500 == 499) {
-      Status s = tree.Validate();
-      ASSERT_TRUE(s.ok()) << "step " << step << ": " << s.ToString();
-    }
-  }
-  EXPECT_EQ(tree.size(), reference.size());
-  const std::set<ObjectId> contents =
-      TreeRange(tree, Rect::FromBounds(-1, -1, 2, 2));
-  EXPECT_EQ(contents, reference);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RTreeMixedWorkload,
-                         ::testing::Values(1, 7, 31));
 
 }  // namespace
 }  // namespace yask

@@ -76,16 +76,6 @@ TEST(SetRTreeTest, BulkLoadSummariesValidate) {
   ASSERT_TRUE(s.ok()) << s.ToString();
 }
 
-TEST(SetRTreeTest, InsertAndDeleteKeepSummariesConsistent) {
-  const ObjectStore store = MakeStore(600, 9);
-  SetRTree tree(&store);
-  for (ObjectId id = 0; id < 400; ++id) tree.Insert(id);
-  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-  for (ObjectId id = 0; id < 200; id += 2) ASSERT_TRUE(tree.Delete(id));
-  Status s = tree.Validate();
-  ASSERT_TRUE(s.ok()) << s.ToString();
-}
-
 TEST(SetRTreeTest, RootSummaryCoversWholeCorpus) {
   const ObjectStore store = MakeStore(500, 3);
   SetRTree tree(&store);

@@ -127,7 +127,8 @@ TEST(DegenerateTest, CollinearScorePlanePoints) {
   q.loc = Point{0.3, 0.3};
   q.doc = KeywordSet({kw});
   q.k = 3;
-  auto result = AdjustPreference(store, q, {10});
+  const Corpus corpus = CorpusBuilder().Build(std::move(store));
+  auto result = AdjustPreference(LocalWhyNotOracle(corpus), q, {10});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->already_in_result);
   EXPECT_EQ(result->refined.w, q.w);        // No weight can reorder ties.
@@ -144,20 +145,19 @@ TEST(DegenerateTest, MissingObjectWithEmptyDocument) {
     store.Add(Point{0.5 + 0.01 * i, 0.5}, KeywordSet({kw}), "normal");
   }
   const ObjectId mute = store.Add(Point{0.9, 0.9}, KeywordSet(), "mute");
-  KcRTree kcr(&store);
-  kcr.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(std::move(store));
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({kw});
   q.k = 3;
-  auto result = AdaptKeywords(store, kcr, q, {mute});
+  auto result = AdaptKeywords(LocalWhyNotOracle(corpus), q, {mute});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->already_in_result);
   // M.doc is empty: no insertable keywords; only deletions/pure-k remain.
   EXPECT_TRUE(result->refined.doc.IsSubsetOf(q.doc));
   EXPECT_GE(result->refined.k, result->refined_rank);
   // The revival guarantee still holds.
-  const TopKResult r = TopKScan(store, result->refined);
+  const TopKResult r = TopKScan(corpus.store(), result->refined);
   bool revived = false;
   for (const ScoredObject& so : r) {
     if (so.id == mute) revived = true;

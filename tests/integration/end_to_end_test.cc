@@ -120,36 +120,6 @@ TEST(EndToEndTest, SyntheticSweep) {
   }
 }
 
-TEST(EndToEndTest, DynamicIndexMaintenanceMatchesRebuild) {
-  // Queries against an incrementally-built index must match a bulk-loaded
-  // one: the demo server could ingest new hotels without a rebuild.
-  DatasetSpec spec;
-  spec.num_objects = 1500;
-  spec.seed = 4;
-  const ObjectStore store = GenerateDataset(spec);
-
-  SetRTree bulk(&store);
-  bulk.BulkLoad();
-  SetRTree incremental(&store);
-  for (ObjectId id = 0; id < store.size(); ++id) incremental.Insert(id);
-
-  SetRTopKEngine a(store, bulk);
-  SetRTopKEngine b(store, incremental);
-  Rng rng(12);
-  for (int trial = 0; trial < 10; ++trial) {
-    Query q;
-    q.loc = SampleQueryLocation(store, &rng);
-    q.doc = SampleQueryKeywords(store, 3, &rng);
-    q.k = 10;
-    const TopKResult ra = a.Query(q);
-    const TopKResult rb = b.Query(q);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].id, rb[i].id) << "trial " << trial << " rank " << i;
-    }
-  }
-}
-
 TEST(EndToEndTest, ApplyingBothRefinementsSequentially) {
   // §3.2: "Users can apply the two refinement functions simultaneously to
   // find better solutions." Apply preference first, then keyword adaption on
@@ -167,9 +137,9 @@ TEST(EndToEndTest, ApplyingBothRefinementsSequentially) {
   probe.k = 25;
   const ObjectId expected = engine.TopK(probe)[20].id;
 
-  auto first = AdjustPreference(store, q, {expected});
+  auto first = AdjustPreference(engine.oracle(), q, {expected});
   ASSERT_TRUE(first.ok());
-  auto second = AdaptKeywords(store, corpus.kcr(), first->refined, {expected});
+  auto second = AdaptKeywords(engine.oracle(), first->refined, {expected});
   ASSERT_TRUE(second.ok());
   const TopKResult final_result = engine.TopK(second->refined);
   std::set<ObjectId> ids;

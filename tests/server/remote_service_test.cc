@@ -253,6 +253,18 @@ TEST(RemoteServiceTest, DeadShardSurfacesAs503NotGarbage) {
   EXPECT_EQ(status, 503);
   EXPECT_NE(body->find("shard"), std::string::npos) << *body;
 
+  // A why-not question over the dead fleet is an outage too, whichever
+  // model runs: 503, never a crash or a 400 blaming the request.
+  for (const char* model : {"preference", "keyword", "both", "combined"}) {
+    body = HttpFetch(service.port(), "POST", "/whynot",
+                     std::string("{\"query_id\":1,\"missing\":[5],"
+                                 "\"model\":\"") +
+                         model + "\"}",
+                     &status);
+    ASSERT_TRUE(body.ok()) << model;
+    EXPECT_EQ(status, 503) << model << ": " << *body;
+  }
+
   service.Stop();
 }
 

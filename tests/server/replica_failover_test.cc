@@ -433,7 +433,9 @@ TEST(ReplicaFailoverTest, BatchedSweepSegmentFailsOverWithReplay) {
   PreferenceAdjustOptions batched;
   batched.batch_sweep = true;
   auto remote_refined = AdjustPreference(oracle, query, {missing}, batched);
-  auto local_refined = AdjustPreference(store, query, {missing}, batched);
+  const Corpus local = CorpusBuilder().Build(ObjectStore(store));
+  auto local_refined =
+      AdjustPreference(LocalWhyNotOracle(local), query, {missing}, batched);
   ASSERT_TRUE(remote_refined.ok()) << remote_refined.status().ToString();
   ASSERT_TRUE(local_refined.ok());
   EXPECT_EQ(remote_refined->refined.w.ws, local_refined->refined.w.ws);

@@ -204,6 +204,23 @@ TEST_F(YaskServiceTest, UnknownModelRejected) {
   EXPECT_EQ(status, 400);
 }
 
+TEST_F(YaskServiceTest, WhyNotRejectsMalformedMissingEntry) {
+  // An entry that is neither an object id nor a name fails the request and
+  // is named in the error; it is never silently dropped.
+  const JsonValue qresp = IssueQuery(3);
+  const std::string query_id = qresp.Get("query_id").Dump();
+  for (const char* bad : {"true", "null", "[7]", "{\"id\":7}"}) {
+    const std::string request = "{\"query_id\":" + query_id +
+                                ",\"missing\":[5," + bad + "]}";
+    int status = 0;
+    auto body =
+        HttpFetch(service_->port(), "POST", "/whynot", request, &status);
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ(status, 400) << request << " -> " << *body;
+    EXPECT_NE(body->find("missing[1]"), std::string::npos) << *body;
+  }
+}
+
 TEST_F(YaskServiceTest, WhyNotUnknownQueryIdIs404) {
   JsonValue wn = JsonValue::MakeObject();
   wn.Set("query_id", JsonValue(424242));

@@ -112,17 +112,6 @@ TEST(ObjectStoreCodecTest, KeywordOutsideVocabularyRejected) {
   EXPECT_FALSE(LoadObjectStore(&in, &loaded).ok());
 }
 
-TEST(InvertedIndexCodecTest, RoundTripPostings) {
-  const ObjectStore store = SyntheticStore(500);
-  const InvertedIndex original(store);
-  BufWriter out;
-  SaveInvertedIndex(original, &out);
-  BufReader in(out.data().data(), out.size());
-  auto loaded = LoadInvertedIndex(&in, store.vocab().size(), store.size());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->postings(), original.postings());
-}
-
 template <typename Tree>
 void ExpectTreesEquivalent(const Tree& a, const Tree& b) {
   EXPECT_EQ(b.size(), a.size());
@@ -187,26 +176,6 @@ TEST(RTreeCodecTest, EmptyTreeRoundTrips) {
   EXPECT_TRUE(loaded.Validate().ok());
 }
 
-TEST(RTreeCodecTest, LoadedTreeSupportsUpdates) {
-  // AdoptArena restores the fanout options, so post-load Insert/Delete must
-  // keep the structural invariants.
-  const ObjectStore store = SyntheticStore(800);
-  SetRTree original(&store);
-  original.BulkLoad(std::vector<ObjectId>());  // Start empty.
-  for (ObjectId id = 0; id < 700; ++id) original.Insert(id);
-  BufWriter out;
-  SaveSetRTree(original, &out);
-
-  SetRTree loaded(&store);
-  BufReader in(out.data().data(), out.size());
-  ASSERT_TRUE(LoadSetRTree(&in, &loaded).ok());
-  for (ObjectId id = 700; id < 800; ++id) loaded.Insert(id);
-  for (ObjectId id = 0; id < 50; ++id) EXPECT_TRUE(loaded.Delete(id));
-  EXPECT_EQ(loaded.size(), 750u);
-  Status valid = loaded.Validate();
-  EXPECT_TRUE(valid.ok()) << valid.ToString();
-}
-
 class SnapshotBundleTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -215,10 +184,8 @@ class SnapshotBundleTest : public ::testing::Test {
     setr_->BulkLoad();
     kcr_ = std::make_unique<KcRTree>(store_.get());
     kcr_->BulkLoad();
-    inverted_ = std::make_unique<InvertedIndex>(*store_);
     path_ = TestPath("bundle");
-    auto bytes = WriteSnapshot(path_, *store_, setr_.get(), kcr_.get(),
-                               inverted_.get());
+    auto bytes = WriteSnapshot(path_, *store_, setr_.get(), kcr_.get());
     ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
     EXPECT_GT(*bytes, 0u);
   }
@@ -239,7 +206,6 @@ class SnapshotBundleTest : public ::testing::Test {
   std::unique_ptr<ObjectStore> store_;
   std::unique_ptr<SetRTree> setr_;
   std::unique_ptr<KcRTree> kcr_;
-  std::unique_ptr<InvertedIndex> inverted_;
   std::string path_;
 };
 
@@ -249,7 +215,6 @@ TEST_F(SnapshotBundleTest, TopKAndWhyNotAnswersIdenticalAfterReload) {
   ASSERT_NE(bundle->store, nullptr);
   ASSERT_NE(bundle->setr, nullptr);
   ASSERT_NE(bundle->kcr, nullptr);
-  ASSERT_NE(bundle->inverted, nullptr);
 
   // The why-not engine runs over a Corpus; build one around each state
   // (bulk loading from the same store reproduces the identical trees).
@@ -308,7 +273,6 @@ TEST_F(SnapshotBundleTest, StoreOnlySnapshotLeavesIndexesNull) {
   EXPECT_NE(bundle->store, nullptr);
   EXPECT_EQ(bundle->setr, nullptr);
   EXPECT_EQ(bundle->kcr, nullptr);
-  EXPECT_EQ(bundle->inverted, nullptr);
   std::remove(path.c_str());
 }
 
@@ -337,7 +301,8 @@ TEST_F(SnapshotBundleTest, InspectReportsSections) {
   auto report = InspectSnapshot(path_);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->format_version, kSnapshotFormatVersion);
-  ASSERT_EQ(report->sections.size(), 5u);
+  // Vocabulary, object store, SetR-tree, KcR-tree.
+  ASSERT_EQ(report->sections.size(), 4u);
   bool saw_store = false;
   for (const SnapshotSectionReport& s : report->sections) {
     EXPECT_GT(s.size, 0u);

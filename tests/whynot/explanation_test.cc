@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <memory>
 
+#include "src/corpus/corpus.h"
 #include "src/query/scoring.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -17,42 +19,44 @@ namespace {
 class ExplanationScenario : public ::testing::Test {
  protected:
   void SetUp() override {
-    Vocabulary* v = store_.mutable_vocab();
+    ObjectStore store;
+    Vocabulary* v = store.mutable_vocab();
     coffee_ = v->Intern("coffee");
     wifi_ = v->Intern("wifi");
     pizza_ = v->Intern("pizza");
     // 5 perfect matches at the query point.
     for (int i = 0; i < 5; ++i) {
-      store_.Add(Point{0.5, 0.5}, KeywordSet({coffee_, wifi_}),
+      store.Add(Point{0.5, 0.5}, KeywordSet({coffee_, wifi_}),
                  "good" + std::to_string(i));
     }
-    far_match_ = store_.Add(Point{0.95, 0.95},
+    far_match_ = store.Add(Point{0.95, 0.95},
                             KeywordSet({coffee_, wifi_}), "FarCafe");
     near_mismatch_ =
-        store_.Add(Point{0.5, 0.5}, KeywordSet({pizza_}), "PizzaNextDoor");
+        store.Add(Point{0.5, 0.5}, KeywordSet({pizza_}), "PizzaNextDoor");
     far_mismatch_ =
-        store_.Add(Point{0.05, 0.95}, KeywordSet({pizza_}), "RemotePizza");
+        store.Add(Point{0.05, 0.95}, KeywordSet({pizza_}), "RemotePizza");
     // Spread anchor points so the bounds diagonal is stable.
-    store_.Add(Point{0.0, 0.0}, KeywordSet({coffee_}), "anchor0");
-    store_.Add(Point{1.0, 1.0}, KeywordSet({coffee_}), "anchor1");
+    store.Add(Point{0.0, 0.0}, KeywordSet({coffee_}), "anchor0");
+    store.Add(Point{1.0, 1.0}, KeywordSet({coffee_}), "anchor1");
 
-    tree_ = std::make_unique<SetRTree>(&store_);
-    tree_->BulkLoad();
+    corpus_ =
+        std::make_unique<Corpus>(CorpusBuilder().Build(std::move(store)));
+    oracle_ = std::make_unique<LocalWhyNotOracle>(*corpus_);
 
     query_.loc = Point{0.5, 0.5};
     query_.doc = KeywordSet({coffee_, wifi_});
     query_.k = 3;
   }
 
-  ObjectStore store_;
-  std::unique_ptr<SetRTree> tree_;
+  std::unique_ptr<Corpus> corpus_;
+  std::unique_ptr<LocalWhyNotOracle> oracle_;
   Query query_;
   TermId coffee_, wifi_, pizza_;
   ObjectId far_match_, near_mismatch_, far_mismatch_;
 };
 
 TEST_F(ExplanationScenario, FarKeywordMatchBlamesDistance) {
-  auto result = ExplainMissing(store_, *tree_, query_, {far_match_});
+  auto result = ExplainMissing(*oracle_, query_, {far_match_});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   const MissingObjectExplanation& e = result->at(0);
@@ -70,7 +74,7 @@ TEST_F(ExplanationScenario, FarKeywordMatchBlamesDistance) {
 }
 
 TEST_F(ExplanationScenario, NearMismatchBlamesKeywords) {
-  auto result = ExplainMissing(store_, *tree_, query_, {near_mismatch_});
+  auto result = ExplainMissing(*oracle_, query_, {near_mismatch_});
   ASSERT_TRUE(result.ok());
   const MissingObjectExplanation& e = result->at(0);
   EXPECT_DOUBLE_EQ(e.tsim, 0.0);
@@ -80,7 +84,7 @@ TEST_F(ExplanationScenario, NearMismatchBlamesKeywords) {
 }
 
 TEST_F(ExplanationScenario, FarMismatchBlamesBoth) {
-  auto result = ExplainMissing(store_, *tree_, query_, {far_mismatch_});
+  auto result = ExplainMissing(*oracle_, query_, {far_mismatch_});
   ASSERT_TRUE(result.ok());
   const MissingObjectExplanation& e = result->at(0);
   EXPECT_EQ(e.reason, MissingReason::kBoth)
@@ -88,9 +92,8 @@ TEST_F(ExplanationScenario, FarMismatchBlamesBoth) {
 }
 
 TEST_F(ExplanationScenario, InResultObjectReported) {
-  SetRTopKEngine engine(store_, *tree_);
-  const TopKResult top = engine.Query(query_);
-  auto result = ExplainMissing(store_, *tree_, query_, {top[0].id});
+  const TopKResult top = corpus_->topk().Query(query_);
+  auto result = ExplainMissing(*oracle_, query_, {top[0].id});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->at(0).reason, MissingReason::kInResult);
   EXPECT_EQ(result->at(0).recommendation, RefinementRecommendation::kNone);
@@ -98,14 +101,14 @@ TEST_F(ExplanationScenario, InResultObjectReported) {
 }
 
 TEST_F(ExplanationScenario, RankMatchesIndependentComputation) {
-  auto result = ExplainMissing(store_, *tree_, query_,
+  auto result = ExplainMissing(*oracle_, query_,
                                {far_match_, near_mismatch_});
   ASSERT_TRUE(result.ok());
   for (const MissingObjectExplanation& e : *result) {
     size_t brute = 1;
-    Scorer scorer(store_, query_);
+    Scorer scorer(corpus_->store(), query_);
     const double s = scorer.Score(e.id);
-    for (const SpatialObject& o : store_.objects()) {
+    for (const SpatialObject& o : corpus_->store().objects()) {
       if (o.id == e.id) continue;
       const double so = scorer.Score(o);
       if (so > s || (so == s && o.id < e.id)) ++brute;
@@ -115,19 +118,18 @@ TEST_F(ExplanationScenario, RankMatchesIndependentComputation) {
 }
 
 TEST_F(ExplanationScenario, ErrorsOnBadInput) {
-  EXPECT_FALSE(ExplainMissing(store_, *tree_, query_, {}).ok());
-  EXPECT_FALSE(ExplainMissing(store_, *tree_, query_, {123456}).ok());
+  EXPECT_FALSE(ExplainMissing(*oracle_, query_, {}).ok());
+  EXPECT_FALSE(ExplainMissing(*oracle_, query_, {123456}).ok());
   Query bad = query_;
   bad.doc = KeywordSet();
-  EXPECT_FALSE(ExplainMissing(store_, *tree_, bad, {far_match_}).ok());
+  EXPECT_FALSE(ExplainMissing(*oracle_, bad, {far_match_}).ok());
 }
 
 TEST(ExplanationGenerated, WorksOnSyntheticDataset) {
   DatasetSpec spec;
   spec.num_objects = 1000;
-  const ObjectStore store = GenerateDataset(spec);
-  SetRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(GenerateDataset(spec));
+  const ObjectStore& store = corpus.store();
   Rng rng(5);
   Query q;
   q.loc = SampleQueryLocation(store, &rng);
@@ -140,7 +142,7 @@ TEST(ExplanationGenerated, WorksOnSyntheticDataset) {
   }
   std::sort(missing.begin(), missing.end());
   missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-  auto result = ExplainMissing(store, tree, q, missing);
+  auto result = ExplainMissing(LocalWhyNotOracle(corpus), q, missing);
   ASSERT_TRUE(result.ok());
   for (const MissingObjectExplanation& e : *result) {
     EXPECT_EQ(e.reason == MissingReason::kInResult, e.rank <= q.k);

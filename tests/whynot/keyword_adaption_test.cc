@@ -6,9 +6,11 @@
 #include <set>
 #include <tuple>
 
+#include "src/corpus/corpus.h"
 #include "src/query/ranking.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -74,30 +76,30 @@ TEST(GenerateCandidatesTest, NoDuplicates) {
 }
 
 TEST(AdaptKeywordsTest, RejectsInvalidInput) {
-  const ObjectStore store = MakeStore(100, 1);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(100, 1));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
   q.k = 3;
-  EXPECT_FALSE(AdaptKeywords(store, tree, q, {}).ok());
-  EXPECT_FALSE(AdaptKeywords(store, tree, q, {999999}).ok());
+  EXPECT_FALSE(AdaptKeywords(oracle, q, {}).ok());
+  EXPECT_FALSE(AdaptKeywords(oracle, q, {999999}).ok());
   KeywordAdaptOptions opts;
   opts.lambda = -0.1;
-  EXPECT_FALSE(AdaptKeywords(store, tree, q, {1}, opts).ok());
+  EXPECT_FALSE(AdaptKeywords(oracle, q, {1}, opts).ok());
 }
 
 TEST(AdaptKeywordsTest, AlreadyInResult) {
-  const ObjectStore store = MakeStore(300, 2);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(300, 2));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
   q.k = 10;
   const TopKResult top = TopKScan(store, q);
-  auto result = AdaptKeywords(store, tree, q, {top[0].id});
+  auto result = AdaptKeywords(oracle, q, {top[0].id});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->already_in_result);
   EXPECT_DOUBLE_EQ(result->penalty.value, 0.0);
@@ -105,16 +107,16 @@ TEST(AdaptKeywordsTest, AlreadyInResult) {
 }
 
 TEST(AdaptKeywordsTest, RefinedQueryRevivesMissing) {
-  const ObjectStore store = MakeStore(800, 3);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(800, 3));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.4, 0.4};
   q.doc = KeywordSet({0, 1});
   q.k = 5;
   const std::vector<ObjectId> missing = PickMissing(store, q, 1);
   ASSERT_FALSE(missing.empty());
-  auto result = AdaptKeywords(store, tree, q, missing);
+  auto result = AdaptKeywords(oracle, q, missing);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->already_in_result);
 
@@ -130,9 +132,9 @@ TEST(AdaptKeywordsTest, RefinedQueryRevivesMissing) {
 }
 
 TEST(AdaptKeywordsTest, PenaltyNeverExceedsLambda) {
-  const ObjectStore store = MakeStore(400, 4);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(400, 4));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Rng rng(17);
   for (double lambda : {0.2, 0.5, 0.8}) {
     Query q;
@@ -143,7 +145,7 @@ TEST(AdaptKeywordsTest, PenaltyNeverExceedsLambda) {
     if (missing.empty()) continue;
     KeywordAdaptOptions opts;
     opts.lambda = lambda;
-    auto result = AdaptKeywords(store, tree, q, missing, opts);
+    auto result = AdaptKeywords(oracle, q, missing, opts);
     ASSERT_TRUE(result.ok());
     EXPECT_LE(result->penalty.value, lambda + 1e-12);
   }
@@ -151,9 +153,9 @@ TEST(AdaptKeywordsTest, PenaltyNeverExceedsLambda) {
 
 TEST(AdaptKeywordsTest, LambdaZeroKeepsDoc) {
   // λ=0: editing doc is pure cost; keep doc, k'=R0, penalty 0.
-  const ObjectStore store = MakeStore(300, 5);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(300, 5));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.6, 0.6};
   q.doc = KeywordSet({0, 2});
@@ -162,7 +164,7 @@ TEST(AdaptKeywordsTest, LambdaZeroKeepsDoc) {
   ASSERT_FALSE(missing.empty());
   KeywordAdaptOptions opts;
   opts.lambda = 0.0;
-  auto result = AdaptKeywords(store, tree, q, missing, opts);
+  auto result = AdaptKeywords(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->refined.doc, q.doc);
   EXPECT_EQ(result->refined.k, result->original_rank);
@@ -173,9 +175,9 @@ TEST(AdaptKeywordsTest, LambdaOnePrefersDocEditsOverK) {
   // λ=1: ∆doc is free, only ∆k is penalised — the refinement should reach
   // the best achievable rank through keyword edits alone, never settling for
   // the pure-k fallback if any candidate improves the rank.
-  const ObjectStore store = MakeStore(300, 9);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(300, 9));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.4, 0.6};
   q.doc = KeywordSet({0, 1});
@@ -187,7 +189,7 @@ TEST(AdaptKeywordsTest, LambdaOnePrefersDocEditsOverK) {
   // The unbounded λ=1 candidate space is the whole power set; cap the edit
   // distance to keep the audit exhaustive-checkable.
   opts.max_edit_distance = 2;
-  auto result = AdaptKeywords(store, tree, q, missing, opts);
+  auto result = AdaptKeywords(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
 
   // No candidate within the same edit budget achieves a better rank.
@@ -219,9 +221,9 @@ class KwModesAgree
 
 TEST_P(KwModesAgree, BasicEqualsBoundAndPrune) {
   const auto [seed, lambda, m_count] = GetParam();
-  const ObjectStore store = MakeStore(250, seed);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(250, seed));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Rng rng(seed * 7 + 1);
   for (int trial = 0; trial < 3; ++trial) {
     Query q;
@@ -238,8 +240,8 @@ TEST_P(KwModesAgree, BasicEqualsBoundAndPrune) {
     pruned.lambda = lambda;
     pruned.mode = KwAdaptMode::kBoundAndPrune;
 
-    auto rb = AdaptKeywords(store, tree, q, missing, basic);
-    auto rp = AdaptKeywords(store, tree, q, missing, pruned);
+    auto rb = AdaptKeywords(oracle, q, missing, basic);
+    auto rp = AdaptKeywords(oracle, q, missing, pruned);
     ASSERT_TRUE(rb.ok());
     ASSERT_TRUE(rp.ok());
     EXPECT_EQ(rb->already_in_result, rp->already_in_result);
@@ -266,9 +268,9 @@ class KwBatchingAgrees
 
 TEST_P(KwBatchingAgrees, BatchedEqualsPerProbe) {
   const auto [seed, lambda, m_count] = GetParam();
-  const ObjectStore store = MakeStore(250, seed);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(250, seed));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Rng rng(seed * 13 + 5);
   for (int trial = 0; trial < 3; ++trial) {
     Query q;
@@ -287,8 +289,8 @@ TEST_P(KwBatchingAgrees, BatchedEqualsPerProbe) {
       KeywordAdaptOptions per_probe = batched;
       per_probe.batch_probes = false;
 
-      auto rb = AdaptKeywords(store, tree, q, missing, batched);
-      auto rp = AdaptKeywords(store, tree, q, missing, per_probe);
+      auto rb = AdaptKeywords(oracle, q, missing, batched);
+      auto rp = AdaptKeywords(oracle, q, missing, per_probe);
       ASSERT_TRUE(rb.ok());
       ASSERT_TRUE(rp.ok());
       EXPECT_EQ(rb->already_in_result, rp->already_in_result);
@@ -313,8 +315,8 @@ TEST_P(KwBatchingAgrees, BatchedEqualsPerProbe) {
     KeywordAdaptOptions unbounded;
     unbounded.lambda = lambda;
     unbounded.probe_batch_size = 0;
-    auto rt = AdaptKeywords(store, tree, q, missing, tiny);
-    auto ru = AdaptKeywords(store, tree, q, missing, unbounded);
+    auto rt = AdaptKeywords(oracle, q, missing, tiny);
+    auto ru = AdaptKeywords(oracle, q, missing, unbounded);
     ASSERT_TRUE(rt.ok());
     ASSERT_TRUE(ru.ok());
     EXPECT_EQ(rt->penalty.value, ru->penalty.value);
@@ -330,16 +332,16 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 2u)));
 
 TEST(AdaptKeywordsTest, PruningStatsShowWork) {
-  const ObjectStore store = MakeStore(600, 6);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(600, 6));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.3, 0.7};
   q.doc = KeywordSet({0, 1, 2});
   q.k = 5;
   const std::vector<ObjectId> missing = PickMissing(store, q, 1);
   ASSERT_FALSE(missing.empty());
-  auto result = AdaptKeywords(store, tree, q, missing);
+  auto result = AdaptKeywords(oracle, q, missing);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.candidates_generated, 0u);
   EXPECT_GT(result->stats.kcr_nodes_expanded, 0u);
@@ -350,9 +352,9 @@ TEST(AdaptKeywordsTest, PruningStatsShowWork) {
 }
 
 TEST(AdaptKeywordsTest, MaxEditDistanceCapsSearch) {
-  const ObjectStore store = MakeStore(300, 7);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(300, 7));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
@@ -361,7 +363,7 @@ TEST(AdaptKeywordsTest, MaxEditDistanceCapsSearch) {
   ASSERT_FALSE(missing.empty());
   KeywordAdaptOptions opts;
   opts.max_edit_distance = 1;
-  auto result = AdaptKeywords(store, tree, q, missing, opts);
+  auto result = AdaptKeywords(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->penalty.delta_doc, 1u);
 }
@@ -378,9 +380,9 @@ TEST_P(KwOptimalityAudit, MatchesExhaustiveSearch) {
   spec.vocabulary_size = 25;
   spec.min_keywords = 2;
   spec.max_keywords = 4;
-  const ObjectStore store = GenerateDataset(spec);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(GenerateDataset(spec));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Rng rng(GetParam() ^ 0xF00D);
 
   for (int trial = 0; trial < 3; ++trial) {
@@ -394,7 +396,7 @@ TEST_P(KwOptimalityAudit, MatchesExhaustiveSearch) {
     const double lambda = 0.5;
     KeywordAdaptOptions opts;
     opts.lambda = lambda;
-    auto result = AdaptKeywords(store, tree, q, missing, opts);
+    auto result = AdaptKeywords(oracle, q, missing, opts);
     ASSERT_TRUE(result.ok());
     if (result->already_in_result) continue;
     const size_t r0 = result->original_rank;
@@ -431,16 +433,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KwOptimalityAudit,
                          ::testing::Values(5, 17, 41));
 
 TEST(AdaptKeywordsTest, RefinedDocOnlyUsesAllowedKeywords) {
-  const ObjectStore store = MakeStore(400, 8);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(400, 8));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.2, 0.2};
   q.doc = KeywordSet({0, 1});
   q.k = 5;
   const std::vector<ObjectId> missing = PickMissing(store, q, 2);
   ASSERT_EQ(missing.size(), 2u);
-  auto result = AdaptKeywords(store, tree, q, missing);
+  auto result = AdaptKeywords(oracle, q, missing);
   ASSERT_TRUE(result.ok());
   KeywordSet m_doc;
   for (ObjectId m : missing) {

@@ -7,10 +7,11 @@
 #include <set>
 #include <tuple>
 
-#include "src/index/setr_tree.h"
+#include "src/corpus/corpus.h"
 #include "src/query/ranking.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -38,29 +39,33 @@ std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
 }
 
 TEST(AdjustPreferenceTest, RejectsInvalidInput) {
-  const ObjectStore store = MakeStore(100, 1);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(100, 1));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
   q.k = 3;
-  EXPECT_FALSE(AdjustPreference(store, q, {}).ok());           // Empty M.
-  EXPECT_FALSE(AdjustPreference(store, q, {999999}).ok());     // Unknown id.
+  EXPECT_FALSE(AdjustPreference(oracle, q, {}).ok());           // Empty M.
+  EXPECT_FALSE(AdjustPreference(oracle, q, {999999}).ok());     // Unknown id.
   Query bad = q;
   bad.doc = KeywordSet();
-  EXPECT_FALSE(AdjustPreference(store, bad, {1}).ok());        // Invalid q.
+  EXPECT_FALSE(AdjustPreference(oracle, bad, {1}).ok());        // Invalid q.
   PreferenceAdjustOptions opts;
   opts.lambda = 1.5;
-  EXPECT_FALSE(AdjustPreference(store, q, {1}, opts).ok());    // Bad lambda.
+  EXPECT_FALSE(AdjustPreference(oracle, q, {1}, opts).ok());    // Bad lambda.
 }
 
 TEST(AdjustPreferenceTest, AlreadyInResult) {
-  const ObjectStore store = MakeStore(200, 2);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(200, 2));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
   q.k = 10;
   const TopKResult top = TopKScan(store, q);
-  auto result = AdjustPreference(store, q, {top[2].id});
+  auto result = AdjustPreference(oracle, q, {top[2].id});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->already_in_result);
   EXPECT_DOUBLE_EQ(result->penalty.value, 0.0);
@@ -69,7 +74,9 @@ TEST(AdjustPreferenceTest, AlreadyInResult) {
 }
 
 TEST(AdjustPreferenceTest, RefinedQueryRevivesMissingObject) {
-  const ObjectStore store = MakeStore(1000, 3);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(1000, 3));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.4, 0.6};
   q.doc = KeywordSet({0, 1, 2});
@@ -77,7 +84,7 @@ TEST(AdjustPreferenceTest, RefinedQueryRevivesMissingObject) {
   const std::vector<ObjectId> missing = PickMissing(store, q, 1);
   ASSERT_FALSE(missing.empty());
 
-  auto result = AdjustPreference(store, q, missing);
+  auto result = AdjustPreference(oracle, q, missing);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->already_in_result);
 
@@ -92,7 +99,9 @@ TEST(AdjustPreferenceTest, RefinedQueryRevivesMissingObject) {
 
 TEST(AdjustPreferenceTest, PenaltyNeverExceedsLambda) {
   // The pure-k refinement costs exactly λ, so the optimum is <= λ.
-  const ObjectStore store = MakeStore(500, 4);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(500, 4));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Rng rng(11);
   for (double lambda : {0.1, 0.5, 0.9}) {
     Query q;
@@ -103,7 +112,7 @@ TEST(AdjustPreferenceTest, PenaltyNeverExceedsLambda) {
     if (missing.empty()) continue;
     PreferenceAdjustOptions opts;
     opts.lambda = lambda;
-    auto result = AdjustPreference(store, q, missing, opts);
+    auto result = AdjustPreference(oracle, q, missing, opts);
     ASSERT_TRUE(result.ok());
     EXPECT_LE(result->penalty.value, lambda + 1e-12);
   }
@@ -111,7 +120,9 @@ TEST(AdjustPreferenceTest, PenaltyNeverExceedsLambda) {
 
 TEST(AdjustPreferenceTest, LambdaZeroKeepsWeights) {
   // λ=0: modifying w is pure cost, enlarging k is free => keep w, k'=R0.
-  const ObjectStore store = MakeStore(400, 5);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(400, 5));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.3, 0.3};
   q.doc = KeywordSet({0, 1});
@@ -120,7 +131,7 @@ TEST(AdjustPreferenceTest, LambdaZeroKeepsWeights) {
   ASSERT_FALSE(missing.empty());
   PreferenceAdjustOptions opts;
   opts.lambda = 0.0;
-  auto result = AdjustPreference(store, q, missing, opts);
+  auto result = AdjustPreference(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->refined.w, q.w);
   EXPECT_EQ(result->refined.k, result->original_rank);
@@ -131,7 +142,9 @@ TEST(AdjustPreferenceTest, LambdaOneSearchesTheFullInterval) {
   // λ=1: only ∆k matters, the feasible interval is all of (0,1), and the
   // optimum is the weight minimising the missing object's rank. The returned
   // rank must therefore be minimal over a dense weight grid.
-  const ObjectStore store = MakeStore(300, 12);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(300, 12));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.45, 0.55};
   q.doc = KeywordSet({0, 1});
@@ -140,7 +153,7 @@ TEST(AdjustPreferenceTest, LambdaOneSearchesTheFullInterval) {
   ASSERT_FALSE(missing.empty());
   PreferenceAdjustOptions opts;
   opts.lambda = 1.0;
-  auto result = AdjustPreference(store, q, missing, opts);
+  auto result = AdjustPreference(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
 
   const auto pts = BuildPlanePoints(store, q);
@@ -167,16 +180,17 @@ TEST(AdjustPreferenceTest, LambdaOneSearchesTheFullInterval) {
 }
 
 TEST(AdjustPreferenceTest, RefinedRankConsistent) {
-  const ObjectStore store = MakeStore(600, 6);
-  SetRTree tree(&store);
-  tree.BulkLoad();
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(600, 6));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
+  const SetRTree& tree = corpus.setr();
   Query q;
   q.loc = Point{0.6, 0.4};
   q.doc = KeywordSet({1, 2});
   q.k = 5;
   const std::vector<ObjectId> missing = PickMissing(store, q, 2);
   ASSERT_EQ(missing.size(), 2u);
-  auto result = AdjustPreference(store, q, missing);
+  auto result = AdjustPreference(oracle, q, missing);
   ASSERT_TRUE(result.ok());
   // Reported ranks match independent recomputation.
   EXPECT_EQ(result->original_rank, LowestRank(store, tree, q, missing));
@@ -193,7 +207,9 @@ class PrefModesAgree
 
 TEST_P(PrefModesAgree, BasicEqualsOptimized) {
   const auto [seed, lambda, m_count] = GetParam();
-  const ObjectStore store = MakeStore(400, seed);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(400, seed));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Rng rng(seed * 13 + 5);
   for (int trial = 0; trial < 4; ++trial) {
     Query q;
@@ -211,8 +227,8 @@ TEST_P(PrefModesAgree, BasicEqualsOptimized) {
     optimized.lambda = lambda;
     optimized.mode = PrefAdjustMode::kOptimized;
 
-    auto rb = AdjustPreference(store, q, missing, basic);
-    auto ro = AdjustPreference(store, q, missing, optimized);
+    auto rb = AdjustPreference(oracle, q, missing, basic);
+    auto ro = AdjustPreference(oracle, q, missing, optimized);
     ASSERT_TRUE(rb.ok());
     ASSERT_TRUE(ro.ok());
     EXPECT_EQ(rb->already_in_result, ro->already_in_result);
@@ -237,7 +253,9 @@ INSTANTIATE_TEST_SUITE_P(
 class PrefOptimalityAudit : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PrefOptimalityAudit, NoGridPointBeatsReturnedPenalty) {
-  const ObjectStore store = MakeStore(300, GetParam());
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(300, GetParam()));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Rng rng(GetParam() ^ 0xA0A0);
   Query q;
   q.loc = SampleQueryLocation(store, &rng);
@@ -247,7 +265,7 @@ TEST_P(PrefOptimalityAudit, NoGridPointBeatsReturnedPenalty) {
   ASSERT_FALSE(missing.empty());
   PreferenceAdjustOptions opts;
   opts.lambda = 0.5;
-  auto result = AdjustPreference(store, q, missing, opts);
+  auto result = AdjustPreference(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->already_in_result);
 
@@ -277,14 +295,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrefOptimalityAudit,
                          ::testing::Values(2, 13, 29));
 
 TEST(AdjustPreferenceTest, StatsPopulatedInOptimizedMode) {
-  const ObjectStore store = MakeStore(500, 8);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(500, 8));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.2, 0.8};
   q.doc = KeywordSet({0, 3});
   q.k = 5;
   const std::vector<ObjectId> missing = PickMissing(store, q, 1);
   ASSERT_FALSE(missing.empty());
-  auto result = AdjustPreference(store, q, missing);
+  auto result = AdjustPreference(oracle, q, missing);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.candidates_evaluated, 0u);
   EXPECT_GT(result->stats.index_nodes_visited, 0u);
@@ -295,7 +315,9 @@ TEST(AdjustPreferenceTest, BatchedSweepMatchesPerEventSweep) {
   // The speculative segment sweep must return the byte-identical refinement
   // and identical crossing/candidate counters at every segment size — the
   // floor cut discards over-fetched counts deterministically.
-  const ObjectStore store = MakeStore(600, 10);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(600, 10));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Rng rng(17);
   for (double lambda : {0.2, 0.5, 0.8}) {
     for (int trial = 0; trial < 3; ++trial) {
@@ -309,14 +331,14 @@ TEST(AdjustPreferenceTest, BatchedSweepMatchesPerEventSweep) {
       PreferenceAdjustOptions per_event;
       per_event.lambda = lambda;
       per_event.batch_sweep = false;
-      auto reference = AdjustPreference(store, q, missing, per_event);
+      auto reference = AdjustPreference(oracle, q, missing, per_event);
       ASSERT_TRUE(reference.ok());
 
       for (size_t segment : {size_t{0}, size_t{1}, size_t{3}, size_t{100}}) {
         PreferenceAdjustOptions batched = per_event;
         batched.batch_sweep = true;
         batched.sweep_batch_size = segment;
-        auto result = AdjustPreference(store, q, missing, batched);
+        auto result = AdjustPreference(oracle, q, missing, batched);
         ASSERT_TRUE(result.ok());
         const std::string tag = "lambda=" + std::to_string(lambda) +
                                 " trial=" + std::to_string(trial) +
@@ -354,7 +376,9 @@ TEST(AdjustPreferenceTest, BatchedSweepSavesFanouts) {
   // With a multi-candidate segment, the sweep must actually amortize: one
   // fan-out covers all anchors of Step 1 (instead of |M|) and each segment
   // covers several candidates (instead of candidates × anchors fan-outs).
-  const ObjectStore store = MakeStore(800, 11);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(800, 11));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Rng rng(23);
   for (int trial = 0; trial < 6; ++trial) {
     Query q;
@@ -369,8 +393,8 @@ TEST(AdjustPreferenceTest, BatchedSweepSavesFanouts) {
     PreferenceAdjustOptions batched;
     batched.batch_sweep = true;
     batched.sweep_batch_size = 8;
-    auto rp = AdjustPreference(store, q, missing, per_event);
-    auto rb = AdjustPreference(store, q, missing, batched);
+    auto rp = AdjustPreference(oracle, q, missing, per_event);
+    auto rb = AdjustPreference(oracle, q, missing, batched);
     ASSERT_TRUE(rp.ok());
     ASSERT_TRUE(rb.ok());
     if (rb->already_in_result || rb->stats.candidates_evaluated < 4) continue;
@@ -383,15 +407,17 @@ TEST(AdjustPreferenceTest, BatchedSweepSavesFanouts) {
 }
 
 TEST(AdjustPreferenceTest, DuplicateMissingIdsAreDeduplicated) {
-  const ObjectStore store = MakeStore(300, 9);
+  const Corpus corpus = CorpusBuilder().Build(MakeStore(300, 9));
+  const ObjectStore& store = corpus.store();
+  const LocalWhyNotOracle oracle(corpus);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
   q.k = 3;
   const std::vector<ObjectId> missing = PickMissing(store, q, 1);
   ASSERT_FALSE(missing.empty());
-  auto a = AdjustPreference(store, q, {missing[0]});
-  auto b = AdjustPreference(store, q, {missing[0], missing[0]});
+  auto a = AdjustPreference(oracle, q, {missing[0]});
+  auto b = AdjustPreference(oracle, q, {missing[0], missing[0]});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->penalty.value, b->penalty.value);

@@ -186,14 +186,15 @@ TEST_F(WhyNotEngineTest, CombinedPicksTheCheaperOrder) {
   // Recompute both orders by hand and verify the reported one is minimal.
   PreferenceAdjustOptions po;
   KeywordAdaptOptions ko;
-  auto pref_a = AdjustPreference(*store_, q, {expected}, po);
+  const WhyNotOracle& oracle = engine.oracle();
+  auto pref_a = AdjustPreference(oracle, q, {expected}, po);
   ASSERT_TRUE(pref_a.ok());
-  auto kw_a = AdaptKeywords(*store_, corpus_->kcr(), pref_a->refined, {expected}, ko);
+  auto kw_a = AdaptKeywords(oracle, pref_a->refined, {expected}, ko);
   ASSERT_TRUE(kw_a.ok());
   const double total_a = pref_a->penalty.value + kw_a->penalty.value;
-  auto kw_b = AdaptKeywords(*store_, corpus_->kcr(), q, {expected}, ko);
+  auto kw_b = AdaptKeywords(oracle, q, {expected}, ko);
   ASSERT_TRUE(kw_b.ok());
-  auto pref_b = AdjustPreference(*store_, kw_b->refined, {expected}, po);
+  auto pref_b = AdjustPreference(oracle, kw_b->refined, {expected}, po);
   ASSERT_TRUE(pref_b.ok());
   const double total_b = kw_b->penalty.value + pref_b->penalty.value;
   EXPECT_DOUBLE_EQ(combined->total_penalty, std::min(total_a, total_b));
